@@ -22,17 +22,12 @@ from .config import DEFAULT_TOL, Tolerances
 from .linalg import (
     EigenDecomposition,
     QRFactors,
-    SvdFactors,
     as_matrix,
     cond2,
     eig,
-    inverse,
     kron,
     norms,
     qr_decompose,
-    solve,
-    spectral_radius,
-    svd,
 )
 from .oracles import (
     Contour,

@@ -57,54 +57,61 @@ def orth_complement(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return comp
 
 
-def principal_angles(q1, q2, tol: Tolerances = DEFAULT_TOL) -> SubspaceDistance:
-    """Principal angles between span(Q1) and span(Q2); inputs orthonormal."""
+def _checked_pair(q1, q2, tol: Tolerances, caller: str) -> tuple[np.ndarray, np.ndarray]:
     q1 = _check_orthonormal(q1, "Q1", tol)
     q2 = _check_orthonormal(q2, "Q2", tol)
     if q1.shape != q2.shape:
-        raise ShapeMismatch(f"principal_angles: {q1.shape} vs {q2.shape}")
+        raise ShapeMismatch(f"{caller}: {q1.shape} vs {q2.shape}")
+    return q1, q2
+
+
+def _angles(q1: np.ndarray, q2: np.ndarray,
+            tol: Tolerances) -> tuple[SubspaceDistance, np.ndarray]:
+    """Principal angles of a checked pair, plus the unclipped singular values
+    of Q1perp* Q2 (empty when Q1 is square)."""
     n, r = q1.shape
     cosines = np.clip(singular_values(q1.conj().T @ q2), 0.0, 1.0)
-    if r < n:
-        comp = orth_complement(q1, tol)
-        sig = np.clip(singular_values(comp.conj().T @ q2), 0.0, 1.0)
-        sines = np.zeros(r)
-        k = min(sig.shape[0], r)
-        # largest sines pair with the smallest cosines
-        sines[r - k:] = np.sort(sig[:k])
-    else:
-        sines = np.zeros(r)
+    comp_sv = singular_values(orth_complement(q1, tol).conj().T @ q2) if r < n \
+        else np.zeros(0)
+    sines = np.zeros(r)
+    # largest sines pair with the smallest cosines
+    sines[r - comp_sv.shape[0]:] = np.sort(np.clip(comp_sv, 0.0, 1.0))
     sin_norm = float(sines[-1]) if r else 0.0
     with np.errstate(divide="ignore"):
         tans = np.where(cosines > 0.0, sines / np.where(cosines > 0.0, cosines, 1.0), np.inf)
     tan_norm = float(np.max(tans)) if r else 0.0
-    return SubspaceDistance(cosines=cosines, sines=sines, sin_norm=sin_norm, tan_norm=tan_norm)
+    dist = SubspaceDistance(cosines=cosines, sines=sines, sin_norm=sin_norm,
+                            tan_norm=tan_norm)
+    return dist, comp_sv
+
+
+def principal_angles(q1, q2, tol: Tolerances = DEFAULT_TOL) -> SubspaceDistance:
+    """Principal angles between span(Q1) and span(Q2); inputs orthonormal."""
+    q1, q2 = _checked_pair(q1, q2, tol, "principal_angles")
+    return _angles(q1, q2, tol)[0]
 
 
 def sin_theta_norm(q1, q2, tol: Tolerances = DEFAULT_TOL) -> float:
     """Largest principal-angle sine, cross-checked through three routes.
 
-    The returned value is max sine from ``principal_angles``.  It is compared
+    The returned value is max sine from the principal angles.  It is compared
     against ||Q1perp* Q2||, against the symmetric ||Q2perp* Q1||, and (in
     squared form, which avoids the 1/sin error amplification at tiny angles)
     against 1 - sigma_min(Q1* Q2)^2.  Disagreement beyond ``cross_tol``
     signals orthonormality loss upstream.
     """
-    q1 = _check_orthonormal(q1, "Q1", tol)
-    q2 = _check_orthonormal(q2, "Q2", tol)
-    if q1.shape != q2.shape:
-        raise ShapeMismatch(f"sin_theta_norm: {q1.shape} vs {q2.shape}")
+    q1, q2 = _checked_pair(q1, q2, tol, "sin_theta_norm")
     n, r = q1.shape
-    dist = principal_angles(q1, q2, tol)
+    dist, comp_sv = _angles(q1, q2, tol)
     value = dist.sin_norm
 
     if r < n:
-        direct = float(singular_values(orth_complement(q1, tol).conj().T @ q2)[0])
+        direct = float(comp_sv[0])
         sym = float(singular_values(orth_complement(q2, tol).conj().T @ q1)[0])
     else:
         direct = 0.0
         sym = 0.0
-    smin = float(np.clip(singular_values(q1.conj().T @ q2)[-1], 0.0, 1.0))
+    smin = float(dist.cosines[-1])
     sq_alt = 1.0 - smin * smin
 
     if abs(value - direct) > tol.cross_tol:

@@ -22,7 +22,7 @@ import numpy as np
 from .angles import sin_theta_norm
 from .config import DEFAULT_TOL, Tolerances
 from .errors import GapViolated, ShapeMismatch, SizeCap
-from .linalg import as_matrix, cond2, eig, kron, norms, singular_values
+from .linalg import as_matrix, eig, kron, norms, singular_values
 from .partition import (
     MatchStrategy,
     SameSelector,
@@ -66,8 +66,25 @@ class BoundReport:
     match_strategy: str
 
 
-def new_bound(a_mat, da, part: SpectralPartition, part_tilde: SpectralPartition,
-              tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+def _kept_gaps(part: SpectralPartition, part_tilde: SpectralPartition) -> np.ndarray:
+    """Distance from each perturbed kept eigenvalue to the complement set."""
+    return np.min(np.abs(part_tilde.lambda1[:, np.newaxis]
+                         - part.lambda2[np.newaxis, :]), axis=1)
+
+
+def _product_bound(gaps: np.ndarray, delta_lambda: float, kappa_v2: float,
+                   da_frob: float, a: float) -> tuple[float, float]:
+    """Product bound from its ingredients; ``delta_lambda`` is min(gaps) > 0."""
+    if da_frob == 0.0:
+        return 0.0, 0.0
+    lead = kappa_v2 * da_frob / a
+    perj = lead * float(np.prod(1.0 + a / gaps))
+    dl = lead * (1.0 + a / delta_lambda) ** gaps.shape[0]
+    return float(perj), float(dl)
+
+
+def new_bound(a_mat, da, part: SpectralPartition,
+              part_tilde: SpectralPartition) -> tuple[float, float]:
     """Product bound in per-eigenvalue and uniform-gap form.
 
     Returns (perj, dl) with perj <= dl; raises GapViolated when the
@@ -77,31 +94,23 @@ def new_bound(a_mat, da, part: SpectralPartition, part_tilde: SpectralPartition,
     da = as_matrix(da, "dA")
     if part.r != part_tilde.r:
         raise ShapeMismatch("new_bound: partitions have different block sizes")
-    gaps = np.min(np.abs(part_tilde.lambda1[:, np.newaxis]
-                         - part.lambda2[np.newaxis, :]), axis=1)
+    gaps = _kept_gaps(part, part_tilde)
     delta_lambda = float(np.min(gaps))
     if delta_lambda == 0.0:
         raise GapViolated("new_bound: post-perturbation gap is zero")
     da_spec, da_frob = norms(da)
-    if da_frob == 0.0:
-        return 0.0, 0.0
     a = float(np.linalg.norm(a_mat, 2)) + da_spec + float(np.max(np.abs(part.lambda2)))
-    lead = cond2(part.v2) * da_frob / a
-    perj = lead * float(np.prod(1.0 + a / gaps))
-    dl = lead * (1.0 + a / delta_lambda) ** part.r
-    return float(perj), float(dl)
+    return _product_bound(gaps, delta_lambda, part.qr_v2.kappa, da_frob, a)
 
 
-def classical_bound(part: SpectralPartition, part_tilde: SpectralPartition,
-                    da_spec: float, delta0: float) -> tuple[float, bool]:
+def classical_bound(part: SpectralPartition, da_spec: float,
+                    delta0: float) -> tuple[float, bool]:
     """Separation-derived tangent bound with a positive-part denominator.
 
     Returns (value, valid); value is +inf and valid is False when the
     denominator's positive part vanishes (the bound is vacuous).
     """
-    if part_tilde is not None and part.r != part_tilde.r:
-        raise ShapeMismatch("classical_bound: partitions have different block sizes")
-    numer = 2.0 * cond2(part.x1) * cond2(part.v2) * float(da_spec)
+    numer = 2.0 * part.qr_x1.kappa * part.qr_v2.kappa * float(da_spec)
     if delta0 > numer:
         return numer / (delta0 - numer), True
     return math.inf, False
@@ -155,21 +164,24 @@ def full_report(a_mat, da, selector: Selector,
     ed_t = eig(a_mat + da, tol)
     part = partition(ed, selector, tol)
     part_t = match_partition(ed_t, part, match, tol, check_gap=False)
+    if part.r != part_t.r:
+        raise ShapeMismatch("full_report: partitions have different block sizes")
 
     delta1 = gap_delta1(part.lambda1, part.lambda2)
     delta0, t0_star = gap_delta0(part.lambda1, part.lambda2, tol)
-    delta_lambda = gap_delta1(part_t.lambda1, part.lambda2)
+    gaps = _kept_gaps(part, part_t)
+    delta_lambda = float(np.min(gaps))
     gap_ok = delta_lambda > 0.0
 
     da_spec, da_frob = norms(da)
     a_spec = float(np.linalg.norm(a_mat, 2))
     a = a_spec + da_spec + float(np.max(np.abs(part.lambda2)))
-    kappa_x1 = cond2(part.x1)
-    kappa_v2 = cond2(part.v2)
+    kappa_x1 = part.qr_x1.kappa
+    kappa_v2 = part.qr_v2.kappa
 
-    classical_value, classical_valid = classical_bound(part, part_t, da_spec, delta0)
+    classical_value, classical_valid = classical_bound(part, da_spec, delta0)
     if gap_ok:
-        perj, dl = new_bound(a_mat, da, part, part_t, tol)
+        perj, dl = _product_bound(gaps, delta_lambda, kappa_v2, da_frob, a)
     else:
         perj, dl = math.inf, math.inf
 

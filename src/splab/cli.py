@@ -180,6 +180,8 @@ def _cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         raise _UsageError(
             f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
+    if args.cases is not None and args.cases < 1:
+        raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     records = verify.run_suite(args.suite, _resolve_seed(args.seed), args.cases, tol)
     _emit(io.records_to_json(records), args.out)
     failed = [rec for rec in records if not rec["pass"]]
@@ -232,16 +234,26 @@ def _cmd_example(args) -> int:
     return EXIT_OK
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        values = [float(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
+    if not values:
+        raise _UsageError(f"{flag} needs at least one value")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     tol = _resolve_tol(args.tol)
     seed = _resolve_seed(args.seed)
     family = args.family.lower()
     if family == "table1":
-        eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
+        eps_list = _float_list(args.eps_list, "--eps-list")
         result = experiments.run_table1_sweep(eps_list, args.norm, seed,
                                               jobs=args.jobs, tol=tol)
     elif family == "tightness":
-        deltas = [float(tok) for tok in args.delta_list.split(",") if tok]
+        deltas = _float_list(args.delta_list, "--delta-list")
         result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule,
                                                  seed, jobs=args.jobs, tol=tol)
     elif family == "v2necessity":

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     tol_eig: float = 1e-10        # eigen residual, relative to ||A||
-    tol_fact: float = 1e-12       # factorization residual, relative
     tol_orth: float = 1e-12       # orthonormality defect, scaled by column count
     rank_tol: float = 1e-13       # sigma_min/sigma_max below this: rank deficient
     kappa_cap: float = 1e13       # eigenvector basis condition beyond this: not diagonalizable

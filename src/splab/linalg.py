@@ -43,17 +43,15 @@ def _square(a: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QRFactors:
-    """Thin QR with the diagonal of R rotated to be real nonnegative."""
+    """Thin QR with the diagonal of R rotated to be real nonnegative.
+
+    ``kappa`` is kappa2 of the factored matrix, the same value ``cond2``
+    returns for it.
+    """
 
     q: np.ndarray
     r: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray  # right singular vectors as columns, Z = U diag(S) V*
+    kappa: float
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,6 @@ def norms(z) -> tuple[float, float]:
     return float(singular_values(z)[0]), float(np.linalg.norm(z, "fro"))
 
 
-def spectral_radius(z) -> float:
-    z = _square(z, "Z")
-    return float(np.max(np.abs(np.linalg.eigvals(z))))
-
-
 def cond2(z) -> float:
     """sigma_max / sigma_min; raises Singular on exactly rank-deficient input."""
     s = singular_values(z)
@@ -126,33 +119,7 @@ def qr_decompose(z, tol: Tolerances = DEFAULT_TOL) -> QRFactors:
     r = r * np.conj(phase)[:, np.newaxis]
     # exact real nonnegative diagonal regardless of rounding in the rotation
     r[np.arange(r.shape[0]), np.arange(r.shape[0])] = absd
-    return QRFactors(q=q, r=r)
-
-
-def svd(z) -> SvdFactors:
-    z = as_matrix(z, "Z")
-    try:
-        u, s, vh = np.linalg.svd(z, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=u, s=s, v=vh.conj().T)
-
-
-def solve(z, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve Z X = B for square Z with a rank guard."""
-    z = _square(z, "Z")
-    b = as_matrix(b, "B")
-    if b.shape[0] != z.shape[0]:
-        raise ShapeMismatch(f"solve: incompatible shapes {z.shape} and {b.shape}")
-    s = singular_values(z)
-    if s[0] == 0.0 or s[-1] <= tol.rank_tol * s[0]:
-        raise Singular("solve: matrix is singular to working precision")
-    return np.linalg.solve(z, b)
-
-
-def inverse(z, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    z = _square(z, "Z")
-    return solve(z, np.eye(z.shape[0], dtype=np.complex128), tol)
+    return QRFactors(q=q, r=r, kappa=float(s[0] / s[-1]))
 
 
 def kron(a, b) -> np.ndarray:

@@ -9,6 +9,7 @@ and the post-perturbation gap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -93,7 +94,8 @@ class SpectralPartition:
 
     Column order inside each block preserves the global eigenvalue ordering;
     ``idx1``/``idx2`` record the positions in the parent decomposition so the
-    split can be undone exactly.
+    split can be undone exactly.  The QR factors of ``x1`` and ``v2`` are
+    built with ``tol`` on first access, so RankDeficient surfaces there.
     """
 
     r: int
@@ -103,10 +105,17 @@ class SpectralPartition:
     x2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    qr_x1: QRFactors
-    qr_v2: QRFactors
     idx1: tuple[int, ...]
     idx2: tuple[int, ...]
+    tol: Tolerances = DEFAULT_TOL
+
+    @functools.cached_property
+    def qr_x1(self) -> QRFactors:
+        return qr_decompose(self.x1, self.tol)
+
+    @functools.cached_property
+    def qr_v2(self) -> QRFactors:
+        return qr_decompose(self.v2, self.tol)
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,9 @@ def _build(ed: EigenDecomposition, idx1: list[int], tol: Tolerances) -> Spectral
         x2=x2,
         v1=v1,
         v2=v2,
-        qr_x1=qr_decompose(x1, tol),
-        qr_v2=qr_decompose(v2, tol),
         idx1=tuple(idx1),
         idx2=tuple(idx2),
+        tol=tol,
     )
 
 
@@ -217,8 +225,7 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
                         f"match_partition: swapping rows {i} and {k} changes the "
                         f"cost by {swap:.3e}")
         part = _build(ed_tilde, side1, tol)
-    if check_gap and gap_delta_lambda(part.lambda1, base.lambda2,
-                                      raise_on_zero=False) == 0.0:
+    if check_gap and gap_delta1(part.lambda1, base.lambda2) == 0.0:
         raise GapViolated("match_partition: post-perturbation gap is zero")
     return part
 
@@ -232,11 +239,11 @@ def gap_delta1(lambda1, lambda2) -> float:
     return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
 
 
-def gap_delta_lambda(lambda1_tilde, lambda2, raise_on_zero: bool = True) -> float:
+def gap_delta_lambda(lambda1_tilde, lambda2) -> float:
     """Post-perturbation gap between the perturbed studied set and the
-    unperturbed complement set."""
+    unperturbed complement set; raises GapViolated when it is zero."""
     value = gap_delta1(lambda1_tilde, lambda2)
-    if value == 0.0 and raise_on_zero:
+    if value == 0.0:
         raise GapViolated("gap_delta_lambda: gap is zero")
     return value
 

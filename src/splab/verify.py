@@ -54,6 +54,22 @@ def _sample_spectrum(g: SplitMix64, n: int, min_gap: float = 0.1) -> np.ndarray:
     raise SpecViolation("spectrum sampling failed; min_gap too large")
 
 
+def _sample_matrix(g: SplitMix64, lam: np.ndarray,
+                   kappa_max: float) -> tuple[np.ndarray, float]:
+    """A = X diag(lam) X^{-1} for a random unit-column basis X with
+    kappa2(X) <= kappa_max; returns (A, kappa2(X))."""
+    n = lam.shape[0]
+    for _ in range(200):
+        x = g.complex_normals(n, n)
+        x = x / np.linalg.norm(x, axis=0)[np.newaxis, :]
+        s = np.linalg.svd(x, compute_uv=False)
+        if s[-1] > 0 and s[0] / s[-1] <= kappa_max:
+            break
+    else:
+        raise SpecViolation("eigenvector basis sampling failed")
+    return x @ np.diag(lam) @ np.linalg.inv(x), float(s[0] / s[-1])
+
+
 def random_diagonalizable_case(seed: int, kappa_max: float = 1e3,
                                da_divisor: float = 100.0):
     """One seeded case: diagonalizable A, a kept-block size r, and a dense
@@ -68,16 +84,7 @@ def random_diagonalizable_case(seed: int, kappa_max: float = 1e3,
     n = g.integer(3, 10)
     r = g.integer(1, min(4, n - 1))
     lam = _sample_spectrum(g, n)
-    for _ in range(200):
-        x = g.complex_normals(n, n)
-        x = x / np.linalg.norm(x, axis=0)[np.newaxis, :]
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= kappa_max:
-            break
-    else:
-        raise SpecViolation("eigenvector basis sampling failed")
-    kappa = float(s[0] / s[-1])
-    a = x @ np.diag(lam) @ np.linalg.inv(x)
+    a, kappa = _sample_matrix(g, lam, kappa_max)
     lam_sorted = lam[np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))]
     delta1 = float(np.min(np.abs(lam_sorted[:r, np.newaxis]
                                  - lam_sorted[np.newaxis, r:])))
@@ -105,16 +112,7 @@ def random_clustered_case(seed: int, kappa_max: float = 1e3):
             break
     else:
         raise SpecViolation("clustered spectrum sampling failed")
-    for _ in range(200):
-        x = g.complex_normals(n, n)
-        x = x / np.linalg.norm(x, axis=0)[np.newaxis, :]
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= kappa_max:
-            break
-    else:
-        raise SpecViolation("eigenvector basis sampling failed")
-    kappa = float(s[0] / s[-1])
-    a = x @ np.diag(lam) @ np.linalg.inv(x)
+    a, kappa = _sample_matrix(g, lam, kappa_max)
     direction = g.complex_normals(n, n)
     da = direction * (0.05 / (100.0 * kappa) / np.linalg.norm(direction, 2))
     return a, da, r
@@ -187,7 +185,7 @@ def run_dominance_suite(base_seed: int = 42, cases: int = 300,
             da = da * 0.1
             da_spec *= 0.1
         measured = sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q, tol)
-        perj, dl = new_bound(a, da, part, part_t, tol)
+        perj, dl = new_bound(a, da, part, part_t)
         violation = max(measured - perj, perj - dl * (1.0 + 1e-12))
         records.append(_record(f"dominance-{k:03d}", seed, violation, 0.0))
         records[-1]["measured"] = measured
@@ -201,7 +199,7 @@ def _scaling_quantities(a, da, r: int, tol: Tolerances) -> tuple[float, float, f
     part = partition(ed, TopKMagnitude(r), tol)
     ed_t = eig(a + da, tol)
     part_t = match_partition(ed_t, part, NearestAssignment(), tol)
-    perj, dl = new_bound(a, da, part, part_t, tol)
+    perj, dl = new_bound(a, da, part, part_t)
     measured = sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q, tol)
     return perj, dl, measured
 

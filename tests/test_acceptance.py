@@ -193,7 +193,7 @@ def test_criterion_10_sep_sanity_and_davis_kahan_reduction():
     part = partition(eig(np.diag([2.0, 1.0, -1.0]).astype(np.complex128)),
                      TopKMagnitude(1))
     da_spec, delta0 = 1e-3, 1.0
-    value, valid = classical_bound(part, part, da_spec, delta0)
+    value, valid = classical_bound(part, da_spec, delta0)
     dk_exact = value == 2.0 * da_spec / (delta0 - 2.0 * da_spec) and valid
     ok = worst <= 1e-12 and dk_exact
     report_line(10, ok, f"sep-vs-gap worst {worst:.2e} over 50 diagonal pairs, "

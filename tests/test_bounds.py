@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splab.angles import sin_theta_norm
 from splab.bounds import (
     classical_bound,
     full_report,
@@ -18,7 +19,7 @@ from splab.experiments import (
     gen_example,
     gen_gaussian_perturbation,
 )
-from splab.linalg import eig
+from splab.linalg import cond2, eig
 from splab.partition import NearestAssignment, SameSelector, TopKMagnitude, match_partition, partition
 from splab.rng import SplitMix64
 from splab.verify import random_diagonalizable_case
@@ -50,7 +51,7 @@ def test_classical_bound_reference_rows(eps, reference):
     a, part, part_t = example11_parts(eps, da)
     from splab.partition import gap_delta0
     delta0, _ = gap_delta0(part.lambda1, part.lambda2)
-    value, valid = classical_bound(part, part_t, 1e-6, delta0)
+    value, valid = classical_bound(part, 1e-6, delta0)
     assert valid
     assert value == pytest.approx(reference, rel=0.02)
     assert value == pytest.approx(analytic_classical(eps, 1e-6), rel=1e-6)
@@ -59,7 +60,7 @@ def test_classical_bound_reference_rows(eps, reference):
 def test_classical_bound_vacuous_is_inf():
     da = gen_gaussian_perturbation(3, 1e-6, 42)
     _, part, part_t = example11_parts(1e-4, da)
-    value, valid = classical_bound(part, part_t, 1.0, 0.49)
+    value, valid = classical_bound(part, 1.0, 0.49)
     assert value == math.inf
     assert not valid
 
@@ -69,7 +70,7 @@ def test_classical_bound_unit_kappas_reduces_to_davis_kahan():
     a = np.diag([2.0, 1.0, -1.0]).astype(np.complex128)
     part = partition(eig(a), TopKMagnitude(1))
     da_spec, delta0 = 1e-3, 1.0
-    value, valid = classical_bound(part, part, da_spec, delta0)
+    value, valid = classical_bound(part, da_spec, delta0)
     expected = 2.0 * da_spec / (delta0 - 2.0 * da_spec)
     assert valid
     assert value == expected
@@ -100,7 +101,6 @@ def test_new_bound_example11_magnitude_and_dominance():
     expected_dl = (da_frob / a_quant) * (1.0 + a_quant / delta_l) ** 2
     assert dl == pytest.approx(expected_dl, rel=1e-8)
     assert dl == pytest.approx(2e-5, rel=0.5)
-    from splab.angles import sin_theta_norm
     assert sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q) <= perj
 
 
@@ -227,9 +227,20 @@ def test_full_report_tight_family_magnitude():
 def test_full_report_dominance_smoke():
     for k in range(60):
         a, da, r = random_diagonalizable_case(9000 + k)
-        rep = full_report(a, da, TopKMagnitude(r), match=NearestAssignment())
-        assert rep.gap_ok
-        assert rep.measured_sin <= rep.new_value_perj <= rep.new_value_dl * (1 + 1e-12)
+        for match in (SameSelector(TopKMagnitude(r)), NearestAssignment()):
+            rep = full_report(a, da, TopKMagnitude(r), match=match)
+            assert rep.gap_ok
+            assert rep.measured_sin <= rep.new_value_perj <= rep.new_value_dl * (1 + 1e-12)
+            # full_report reuses what it already holds; the public entry points
+            # recompute each quantity and must agree bit for bit
+            part = partition(eig(a), TopKMagnitude(r))
+            part_t = match_partition(eig(a + da), part, match)
+            assert (rep.new_value_perj, rep.new_value_dl) == new_bound(a, da, part, part_t)
+            assert (rep.classical_value, rep.classical_valid) == \
+                classical_bound(part, rep.da_spec, rep.gap.delta0)
+            assert rep.kappa_x1 == cond2(part.x1)
+            assert rep.kappa_v2 == cond2(part.v2)
+            assert rep.measured_sin == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
 
 
 def test_classical_bound_dominates_tangent_distance():

@@ -94,6 +94,11 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("example", "example11", "--eps", "2.0",
                    "--out", str(tmp_path / "x.json")) == 1
     assert run_cli("eig", "--input", str(tmp_path / "missing.json")) == 1
+    assert run_cli("sweep", "tightness", "--delta-list", "") == 1
+    assert run_cli("sweep", "table1", "--eps-list", "") == 1
+    assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
+    assert run_cli("verify", "lemma32", "--cases", "-3") == 1
+    assert run_cli("verify", "lemma32", "--cases", "0") == 1
 
 
 def test_verify_suite_small(tmp_path):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from splab.config import DEFAULT_TOL
 from splab.errors import (
     AssignmentAmbiguous,
     BoundaryAmbiguity,
     EmptySide,
     GapViolated,
+    RankDeficient,
     SpecViolation,
 )
 from splab.experiments import Example11, gen_example, gen_gaussian_perturbation, gen_unit_perturbation
@@ -54,6 +56,16 @@ def test_partition_example11_top2():
     # the studied subspace is exactly span(e1, e2)
     assert np.linalg.norm(part.x1[2, :]) <= 1e-12
     assert np.linalg.norm(part.qr_x1.q[2, :]) <= 1e-12
+
+
+def test_partition_qr_uses_its_own_tolerances():
+    # kappa2(X1) = eps^{-1/2} = 1e5 for the near-Jordan block
+    a, _ = gen_example(Example11(1e-10))
+    ed = eig(a)
+    assert partition(ed, TopKMagnitude(2)).qr_x1.kappa == pytest.approx(1e5, rel=1e-6)
+    part = partition(ed, TopKMagnitude(2), DEFAULT_TOL.override(rank_tol=1e-3))
+    with pytest.raises(RankDeficient):
+        part.qr_x1
 
 
 def test_partition_index_set_on_diagonal():
