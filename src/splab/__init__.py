@@ -9,8 +9,10 @@ worked example families plus sweep harnesses used by the acceptance suite.
 
 from .angles import SubspaceDistance, orth_complement, principal_angles, sin_theta_norm, tan_theta_norm
 from .bounds import (
+    Analysis,
     BoundReport,
     GapReport,
+    analyze,
     classical_bound,
     full_report,
     new_bound,
@@ -54,7 +56,6 @@ from .partition import (
     format_selector,
     gap_delta0,
     gap_delta1,
-    gap_delta_lambda,
     match_partition,
     parse_selector,
     partition,

@@ -8,14 +8,16 @@ Two upper bounds on the subspace distance are computed side by side:
   (k2(V2) ||dA||_F / a) * prod_j (1 + a / gap_j), a = ||A|| + ||dA|| + rho(L2),
   in both its per-eigenvalue form and its coarser uniform-gap form.
 
-``full_report`` orchestrates the whole pipeline and records every quantity a
-reader needs to audit either bound.
+``analyze`` runs the pipeline eig -> partition -> match once and holds every
+quantity the bounds and the measured distance share; ``full_report`` reads
+it and records every quantity a reader needs to audit either bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +83,78 @@ def _product_bound(gaps: np.ndarray, delta_lambda: float, kappa_v2: float,
     perj = lead * float(np.prod(1.0 + a / gaps))
     dl = lead * (1.0 + a / delta_lambda) ** gaps.shape[0]
     return float(perj), float(dl)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass of eig -> partition -> match over (A, dA, selector).
+
+    Holds A and its partition, dA and the matched partition of A + dA, the
+    match strategy, and ||A||_2 as measured by ``eig``.  Each derived
+    quantity is computed on first access and kept.
+    """
+
+    a: np.ndarray
+    da: np.ndarray
+    part: SpectralPartition
+    part_tilde: SpectralPartition
+    match: MatchStrategy
+    a_norm: float
+    tol: Tolerances
+
+    def perturb(self, da) -> Analysis:
+        """The analysis of A + ``da``: reruns only eig(A + dA) and the match."""
+        da = as_matrix(da, "dA")
+        if self.a.shape != da.shape:
+            raise ShapeMismatch(f"analyze: A is {self.a.shape} but dA is {da.shape}")
+        part_t = match_partition(eig(self.a + da, self.tol), self.part, self.match, self.tol)
+        if part_t.r != self.part.r:
+            raise ShapeMismatch(f"match(A+dA): block sizes differ (A+dA keeps {part_t.r}, "
+                                f"A keeps {self.part.r}); try --match nearest")
+        return replace(self, da=da, part_tilde=part_t)
+
+    @functools.cached_property
+    def gaps(self) -> np.ndarray:
+        return _kept_gaps(self.part, self.part_tilde)
+
+    @functools.cached_property
+    def delta_lambda(self) -> float:
+        return float(np.min(self.gaps))
+
+    @functools.cached_property
+    def da_norms(self) -> tuple[float, float]:
+        """(||dA||_2, ||dA||_F)."""
+        return norms(self.da)
+
+    @functools.cached_property
+    def a_scale(self) -> float:
+        """a = ||A||_2 + ||dA||_2 + rho(L2) of the product bound."""
+        return self.a_norm + self.da_norms[0] + float(np.max(np.abs(self.part.lambda2)))
+
+    @functools.cached_property
+    def product_bound(self) -> tuple[float, float]:
+        """(perj, dl); raises GapViolated when the post-perturbation gap is zero."""
+        if self.delta_lambda == 0.0:
+            raise GapViolated("analyze: post-perturbation gap is zero")
+        return _product_bound(self.gaps, self.delta_lambda, self.part.qr_v2.kappa,
+                              self.da_norms[1], self.a_scale)
+
+    @functools.cached_property
+    def measured_sin(self) -> float:
+        return sin_theta_norm(self.part.qr_x1.q, self.part_tilde.qr_x1.q, self.tol)
+
+
+def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None,
+            tol: Tolerances = DEFAULT_TOL) -> Analysis:
+    """eig(A) and its partition, then ``perturb`` of the dA = 0 analysis (whose
+    matched partition is A's own) by ``da``.  ``match`` defaults to
+    reapplying ``selector`` to the perturbed spectrum."""
+    a_mat = as_matrix(a_mat, "A")
+    ed = eig(a_mat, tol)
+    part = partition(ed, selector, tol)
+    return Analysis(a=a_mat, da=np.zeros_like(a_mat), part=part, part_tilde=part,
+                    match=match or SameSelector(selector), a_norm=ed.a_norm,
+                    tol=tol).perturb(da)
 
 
 def new_bound(a_mat, da, part: SpectralPartition,
@@ -153,53 +227,26 @@ def full_report(a_mat, da, selector: Selector,
     A zero post-perturbation gap does not raise here: the bounds become +inf
     and ``gap_ok`` is cleared, so callers can still serialize the report.
     """
-    a_mat = as_matrix(a_mat, "A")
-    da = as_matrix(da, "dA")
-    if a_mat.shape != da.shape:
-        raise ShapeMismatch(f"full_report: A is {a_mat.shape} but dA is {da.shape}")
-    if match is None:
-        match = SameSelector(selector)
-
-    ed = eig(a_mat, tol)
-    ed_t = eig(a_mat + da, tol)
-    part = partition(ed, selector, tol)
-    part_t = match_partition(ed_t, part, match, tol, check_gap=False)
-    if part.r != part_t.r:
-        raise ShapeMismatch("full_report: partitions have different block sizes")
-
+    run = analyze(a_mat, da, selector, match, tol)
+    part = run.part
     delta1 = gap_delta1(part.lambda1, part.lambda2)
     delta0, t0_star = gap_delta0(part.lambda1, part.lambda2, tol)
-    gaps = _kept_gaps(part, part_t)
-    delta_lambda = float(np.min(gaps))
-    gap_ok = delta_lambda > 0.0
-
-    da_spec, da_frob = norms(da)
-    a_spec = float(np.linalg.norm(a_mat, 2))
-    a = a_spec + da_spec + float(np.max(np.abs(part.lambda2)))
-    kappa_x1 = part.qr_x1.kappa
-    kappa_v2 = part.qr_v2.kappa
+    gap_ok = run.delta_lambda > 0.0
+    da_spec, da_frob = run.da_norms
 
     classical_value, classical_valid = classical_bound(part, da_spec, delta0)
-    if gap_ok:
-        perj, dl = _product_bound(gaps, delta_lambda, kappa_v2, da_frob, a)
-    else:
-        perj, dl = math.inf, math.inf
+    perj, dl = run.product_bound if gap_ok else (math.inf, math.inf)
 
-    l1_block = part.qr_x1.q.conj().T @ a_mat @ part.qr_x1.q
-    l2_block = part.qr_v2.q.conj().T @ a_mat @ part.qr_v2.q
+    l1_block = part.qr_x1.q.conj().T @ run.a @ part.qr_x1.q
+    l2_block = part.qr_v2.q.conj().T @ run.a @ part.qr_v2.q
     sep_frob = sep_frobenius(l1_block, l2_block, tol)
-    sep_low = sep_lower_bound(delta0, kappa_x1, kappa_v2)
-    stewart_ok = stewart_condition(da_spec, a_spec, sep_frob)
-
-    measured = sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q, tol)
-    dominance_ok = measured <= perj
-
+    measured = run.measured_sin
     return BoundReport(
         gap=GapReport(delta0=delta0, delta1=delta1,
-                      delta_lambda=delta_lambda, t0_star=t0_star),
-        a=a,
-        kappa_x1=kappa_x1,
-        kappa_v2=kappa_v2,
+                      delta_lambda=run.delta_lambda, t0_star=t0_star),
+        a=run.a_scale,
+        kappa_x1=part.qr_x1.kappa,
+        kappa_v2=part.qr_v2.kappa,
         da_spec=da_spec,
         da_frob=da_frob,
         classical_value=classical_value,
@@ -207,11 +254,11 @@ def full_report(a_mat, da, selector: Selector,
         new_value_perj=perj,
         new_value_dl=dl,
         sep_frob=sep_frob,
-        sep_lower=sep_low,
-        stewart_condition_ok=stewart_ok,
+        sep_lower=sep_lower_bound(delta0, part.qr_x1.kappa, part.qr_v2.kappa),
+        stewart_condition_ok=stewart_condition(da_spec, run.a_norm, sep_frob),
         measured_sin=measured,
         gap_ok=gap_ok,
-        dominance_ok=dominance_ok,
-        match_strategy="same-selector" if isinstance(match, SameSelector)
+        dominance_ok=measured <= perj,
+        match_strategy="same-selector" if isinstance(run.match, SameSelector)
         else "nearest-assignment",
     )

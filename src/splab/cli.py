@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: eig, report, verify, example, sweep.  Exit codes are a stable
-contract: 0 success, 1 usage or parse failure, 2 an assumption flag fired
+contract: 0 success, 1 usage, parse or selector failure (including a selector
+that leaves one side of the split empty), 2 an assumption flag fired
 (the report is still written), 3 numerical failure.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import experiments, io, verify
 from .bounds import full_report
 from .config import DEFAULT_TOL, Tolerances
-from .errors import IndexOutOfRange, InvalidMatrix, SpecViolation, SplabError
+from .errors import EmptySide, IndexOutOfRange, InvalidMatrix, SpecViolation, SplabError
 from .linalg import eig
 from .partition import NearestAssignment, SameSelector, parse_selector
 
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--eps1", type=float, default=1e-6)
     p_sw.add_argument("--format", choices=["json", "csv"], default="csv")
     p_sw.add_argument("--out", default=None)
-    p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
     return parser
 
@@ -250,12 +250,11 @@ def _cmd_sweep(args) -> int:
     family = args.family.lower()
     if family == "table1":
         eps_list = _float_list(args.eps_list, "--eps-list")
-        result = experiments.run_table1_sweep(eps_list, args.norm, seed,
-                                              jobs=args.jobs, tol=tol)
+        result = experiments.run_table1_sweep(eps_list, args.norm, seed, tol=tol)
     elif family == "tightness":
         deltas = _float_list(args.delta_list, "--delta-list")
         result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule,
-                                                 seed, jobs=args.jobs, tol=tol)
+                                                 seed, tol=tol)
     elif family == "v2necessity":
         record = experiments.run_v2_necessity(args.delta, args.delta1, args.eps,
                                               n=args.n, tol=tol)
@@ -290,7 +289,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
-    except (InvalidMatrix, SpecViolation, IndexOutOfRange, FileNotFoundError) as exc:
+    except (InvalidMatrix, SpecViolation, IndexOutOfRange, EmptySide,
+            FileNotFoundError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
     except SplabError as exc:

@@ -10,7 +10,6 @@ tightness/necessity studies for the product bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -276,25 +275,14 @@ def _report_row(a, da, selector, param: float, seed: int,
     }
 
 
-def _map_ordered(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_table1_sweep(eps_list, da_norm: float, seed: int, jobs: int = 1,
+def run_table1_sweep(eps_list, da_norm: float, seed: int,
                      tol: Tolerances = DEFAULT_TOL) -> SweepResult:
     """Comparison-table sweep: one shared Gaussian perturbation across the
     whole eps grid, measured distance versus both bounds per grid point."""
     eps_values = [float(e) for e in eps_list]
     da = gen_gaussian_perturbation(3, da_norm, seed)
-
-    def one(eps: float) -> dict:
-        a, _ = gen_example(Example11(eps))
-        return _report_row(a, da, TopKMagnitude(2), eps, seed, tol)
-
-    rows = _map_ordered(one, eps_values, jobs)
+    rows = [_report_row(gen_example(Example11(eps))[0], da, TopKMagnitude(2), eps, seed, tol)
+            for eps in eps_values]
     notes = []
     for row in rows:
         ref = None
@@ -314,30 +302,24 @@ def run_table1_sweep(eps_list, da_norm: float, seed: int, jobs: int = 1,
 
 
 def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01, seed: int = 42,
-                        jobs: int = 1, tol: Tolerances = DEFAULT_TOL) -> SweepResult:
+                        tol: Tolerances = DEFAULT_TOL) -> SweepResult:
     """Gap-power tightness sweep: eps tied to c*delta^r, measured distance
     compared against the analytic witness leading term eps/(r! delta^r)."""
     if not 0.0 < eps_rule <= 0.01:
         raise SpecViolation("tightness sweep: eps rule coefficient must be in (0, 0.01]")
     deltas = [float(d) for d in delta_list]
-
-    def one(delta: float) -> dict:
+    rows, eps_values, ratios = [], [], []
+    for delta in deltas:
         eps = eps_rule * delta ** r
         a, facts = gen_example(TightGeneral(r=r, delta=delta, eps=eps))
-        row = _report_row(a, facts.perturbation, facts.selector, delta, seed, tol)
-        row["_eps"] = eps
-        row["_ratio_leading"] = row["measured_sin"] / facts.witness_sin_leading
-        return row
-
-    rows = _map_ordered(one, deltas, jobs)
-    logs_d = np.log([row["param"] for row in rows])
+        rows.append(_report_row(a, facts.perturbation, facts.selector, delta, seed, tol))
+        eps_values.append(eps)
+        ratios.append(rows[-1]["measured_sin"] / facts.witness_sin_leading)
+    logs_d = np.log(deltas)
     logs_m = np.log([row["measured_sin"] for row in rows])
-    logs_adj = np.log([row["measured_sin"] / row["_eps"] for row in rows])
+    logs_adj = np.log([row["measured_sin"] / eps for row, eps in zip(rows, eps_values)])
     slope = float(np.polyfit(logs_d, logs_m, 1)[0]) if len(rows) > 1 else math.nan
     slope_adj = float(np.polyfit(logs_d, logs_adj, 1)[0]) if len(rows) > 1 else math.nan
-    ratios = [row.pop("_ratio_leading") for row in rows]
-    for row in rows:
-        row.pop("_eps")
     summary = (("slope", slope), ("slope_adjusted", slope_adj),
                ("ratio_leading_min", float(min(ratios))),
                ("ratio_leading_max", float(max(ratios))))

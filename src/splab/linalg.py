@@ -61,13 +61,15 @@ class EigenDecomposition:
     ``v`` is (X^{-1})^* so that v.conj().T @ x == I; ``lam`` is sorted by
     descending magnitude with ties broken by descending real part, then
     descending imaginary part.  Each eigenvector's largest-magnitude entry
-    is rotated to be real positive.
+    is rotated to be real positive.  ``a_norm`` is ||A||_2 of the decomposed
+    matrix, measured for the residual check.
     """
 
     x: np.ndarray
     lam: np.ndarray
     v: np.ndarray
     kappa_x: float
+    a_norm: float
 
     @property
     def n(self) -> int:
@@ -166,4 +168,4 @@ def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     dual = float(np.linalg.norm(v.conj().T @ x - np.eye(n), 2))
     if dual > tol.tol_eig * max(kappa, 1.0):
         raise ConvergenceFailure(f"eig: dual-basis defect {dual:.3e} too large")
-    return EigenDecomposition(x=x, lam=w, v=v, kappa_x=kappa)
+    return EigenDecomposition(x=x, lam=w, v=v, kappa_x=kappa, a_norm=a_norm)

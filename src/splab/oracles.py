@@ -14,11 +14,13 @@ intermediate state with the main pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .bounds import analyze
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     EnclosureViolated,
@@ -27,17 +29,14 @@ from .errors import (
     ShapeMismatch,
     SpecViolation,
 )
-from .linalg import EigenDecomposition, as_matrix, cond2, eig, singular_values
+from .linalg import EigenDecomposition, as_matrix, cond2, singular_values
 from .partition import (
     Disk,
     IndexSet,
     MatchStrategy,
-    SameSelector,
     Selector,
     SpectralPartition,
     TopKMagnitude,
-    match_partition,
-    partition,
 )
 
 
@@ -70,6 +69,11 @@ class OracleContext:
     gap_recip: np.ndarray   # (n-r) x r entrywise reciprocal eigenvalue differences
     coupling: np.ndarray    # (gap_recip o V2* dA X1t) R_X1t^{-1}
 
+    @functools.cached_property
+    def kprod(self) -> float:
+        """k2(R_V2) k2(R_X1t), the conditioning product of the framing R factors."""
+        return cond2(self.part.qr_v2.r) * cond2(self.part_tilde.qr_x1.r)
+
 
 def reciprocal_gap_matrix(lambda1_tilde, lambda2) -> np.ndarray:
     """Entrywise reciprocals 1 / (perturbed kept eigenvalue - complement
@@ -85,18 +89,13 @@ def reciprocal_gap_matrix(lambda1_tilde, lambda2) -> np.ndarray:
 def build_oracle_context(a, da, selector: Selector,
                          match: MatchStrategy | None = None,
                          tol: Tolerances = DEFAULT_TOL) -> OracleContext:
-    a = as_matrix(a, "A")
-    da = as_matrix(da, "dA")
-    ed = eig(a, tol)
-    ed_t = eig(a + da, tol)
-    part = partition(ed, selector, tol)
-    part_t = match_partition(ed_t, part, match or SameSelector(selector), tol)
+    run = analyze(a, da, selector, match, tol)
+    part, part_t = run.part, run.part_tilde
     recip = reciprocal_gap_matrix(part_t.lambda1, part.lambda2)
-    hadamard = recip * (part.v2.conj().T @ da @ part_t.x1)
-    r_x1t = part_t.qr_x1.r
-    coupling = scipy.linalg.solve_triangular(r_x1t.T, hadamard.T, lower=True).T
-    return OracleContext(a=a, a_tilde=a + da, da=da, part=part, part_tilde=part_t,
-                         gap_recip=recip, coupling=coupling)
+    hadamard = recip * (part.v2.conj().T @ run.da @ part_t.x1)
+    coupling = scipy.linalg.solve_triangular(part_t.qr_x1.r.T, hadamard.T, lower=True).T
+    return OracleContext(a=run.a, a_tilde=run.a + run.da, da=run.da, part=part,
+                         part_tilde=part_t, gap_recip=recip, coupling=coupling)
 
 
 def hadamard_identity_residual(ctx: OracleContext) -> float:
@@ -124,8 +123,7 @@ def hadamard_identity_threshold(ctx: OracleContext,
     """Acceptance threshold: 1e-8, scaled up only for right-hand sides above
     unit norm or conditioning products beyond the suite cap."""
     rhs_norm = float(np.linalg.norm(_hadamard_rhs(ctx), 2))
-    kprod = cond2(ctx.part.qr_v2.r) * cond2(ctx.part_tilde.qr_x1.r)
-    return 1e-8 * max(1.0, rhs_norm) * max(1.0, kprod / 1e8)
+    return 1e-8 * max(1.0, rhs_norm) * max(1.0, ctx.kprod / 1e8)
 
 
 def elementary_symmetric(lhat) -> np.ndarray:

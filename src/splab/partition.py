@@ -21,7 +21,6 @@ from .errors import (
     AssignmentAmbiguous,
     BoundaryAmbiguity,
     EmptySide,
-    GapViolated,
     ShapeMismatch,
     SpecViolation,
 )
@@ -190,44 +189,38 @@ def partition(ed: EigenDecomposition, sel: Selector,
 
 def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
                     strategy: MatchStrategy,
-                    tol: Tolerances = DEFAULT_TOL,
-                    check_gap: bool = True) -> SpectralPartition:
+                    tol: Tolerances = DEFAULT_TOL) -> SpectralPartition:
     """Partition the perturbed decomposition consistently with ``base``.
 
-    Raises GapViolated when the resulting post-perturbation gap is zero
-    (suppressed by ``check_gap=False`` for callers that degrade gracefully)
-    and AssignmentAmbiguous when a cross-split swap is within ``assign_tol``
-    of the optimal assignment cost.
+    Raises AssignmentAmbiguous when a cross-split swap is within
+    ``assign_tol`` of the optimal assignment cost.  The post-perturbation gap
+    is not checked here; the consumers of the match check it.
     """
     if isinstance(strategy, SameSelector):
-        part = partition(ed_tilde, strategy.selector, tol)
-    else:
-        lam_base = np.empty(base.r + base.lambda2.shape[0], dtype=np.complex128)
-        for k, i in enumerate(base.idx1):
-            lam_base[i] = base.lambda1[k]
-        for k, i in enumerate(base.idx2):
-            lam_base[i] = base.lambda2[k]
-        lam_t = ed_tilde.lam
-        if lam_t.shape[0] != lam_base.shape[0]:
-            raise ShapeMismatch("match_partition: spectra have different sizes")
-        cost = np.abs(lam_t[:, np.newaxis] - lam_base[np.newaxis, :])
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        assigned_base = dict(zip(rows.tolist(), cols.tolist()))
-        side1 = sorted(i for i, j in assigned_base.items() if j in set(base.idx1))
-        side2 = [i for i in range(lam_t.shape[0]) if i not in set(side1)]
-        scale = float(max(np.max(np.abs(lam_t)), np.max(np.abs(lam_base)), 1e-300))
-        for i in side1:
-            for k in side2:
-                swap = (cost[i, assigned_base[k]] + cost[k, assigned_base[i]]
-                        - cost[i, assigned_base[i]] - cost[k, assigned_base[k]])
-                if swap < tol.assign_tol * scale:
-                    raise AssignmentAmbiguous(
-                        f"match_partition: swapping rows {i} and {k} changes the "
-                        f"cost by {swap:.3e}")
-        part = _build(ed_tilde, side1, tol)
-    if check_gap and gap_delta1(part.lambda1, base.lambda2) == 0.0:
-        raise GapViolated("match_partition: post-perturbation gap is zero")
-    return part
+        return partition(ed_tilde, strategy.selector, tol)
+    lam_base = np.empty(base.r + base.lambda2.shape[0], dtype=np.complex128)
+    for k, i in enumerate(base.idx1):
+        lam_base[i] = base.lambda1[k]
+    for k, i in enumerate(base.idx2):
+        lam_base[i] = base.lambda2[k]
+    lam_t = ed_tilde.lam
+    if lam_t.shape[0] != lam_base.shape[0]:
+        raise ShapeMismatch("match_partition: spectra have different sizes")
+    cost = np.abs(lam_t[:, np.newaxis] - lam_base[np.newaxis, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assigned_base = dict(zip(rows.tolist(), cols.tolist()))
+    side1 = sorted(i for i, j in assigned_base.items() if j in set(base.idx1))
+    side2 = [i for i in range(lam_t.shape[0]) if i not in set(side1)]
+    scale = float(max(np.max(np.abs(lam_t)), np.max(np.abs(lam_base)), 1e-300))
+    for i in side1:
+        for k in side2:
+            swap = (cost[i, assigned_base[k]] + cost[k, assigned_base[i]]
+                    - cost[i, assigned_base[i]] - cost[k, assigned_base[k]])
+            if swap < tol.assign_tol * scale:
+                raise AssignmentAmbiguous(
+                    f"match_partition: swapping rows {i} and {k} changes the "
+                    f"cost by {swap:.3e}")
+    return _build(ed_tilde, side1, tol)
 
 
 def gap_delta1(lambda1, lambda2) -> float:
@@ -237,15 +230,6 @@ def gap_delta1(lambda1, lambda2) -> float:
     if l1.size == 0 or l2.size == 0:
         raise EmptySide("gap_delta1: both spectral sets must be nonempty")
     return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
-
-
-def gap_delta_lambda(lambda1_tilde, lambda2) -> float:
-    """Post-perturbation gap between the perturbed studied set and the
-    unperturbed complement set; raises GapViolated when it is zero."""
-    value = gap_delta1(lambda1_tilde, lambda2)
-    if value == 0.0:
-        raise GapViolated("gap_delta_lambda: gap is zero")
-    return value
 
 
 def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:

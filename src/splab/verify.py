@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import new_bound
-from .angles import sin_theta_norm
+from .bounds import analyze
 from .config import DEFAULT_TOL, Tolerances
 from .errors import SpecViolation
 from .experiments import Example11, TightR2, gen_example
-from .linalg import cond2, eig
+from .linalg import eig
 from .oracles import (
     Contour,
     OracleContext,
@@ -28,7 +27,7 @@ from .oracles import (
     hadamard_identity_threshold,
     residue_coupling_matrix,
 )
-from .partition import NearestAssignment, TopKMagnitude, match_partition, partition
+from .partition import NearestAssignment, TopKMagnitude, partition
 from .rng import SplitMix64
 
 
@@ -153,8 +152,7 @@ def _suite_context(seed: int, tol: Tolerances) -> OracleContext | None:
     """Build a case context, or None when the conditioning filter rejects it."""
     a, da, r = random_diagonalizable_case(seed)
     ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment(), tol)
-    kprod = cond2(ctx.part.qr_v2.r) * cond2(ctx.part_tilde.qr_x1.r)
-    if kprod > tol.suite_kappa_cap:
+    if ctx.kprod > tol.suite_kappa_cap:
         return None
     sigma_r_min = float(np.min(np.abs(
         np.prod(ctx.part_tilde.lambda1[np.newaxis, :]
@@ -172,36 +170,22 @@ def run_dominance_suite(base_seed: int = 42, cases: int = 300,
     for k in range(cases):
         seed = base_seed + k
         a, da, r = random_diagonalizable_case(seed)
-        ed = eig(a, tol)
-        part = partition(ed, TopKMagnitude(r), tol)
-        da_spec = float(np.linalg.norm(da, 2))
-        for _ in range(6):
-            ed_t = eig(a + da, tol)
-            part_t = match_partition(ed_t, part, NearestAssignment(), tol)
-            delta_lambda = float(np.min(np.abs(
-                part_t.lambda1[:, np.newaxis] - part.lambda2[np.newaxis, :])))
-            if delta_lambda >= 10.0 * da_spec:
+        run = analyze(a, da, TopKMagnitude(r), NearestAssignment(), tol)
+        for _ in range(5):
+            if run.delta_lambda >= 10.0 * run.da_norms[0]:
                 break
-            da = da * 0.1
-            da_spec *= 0.1
-        measured = sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q, tol)
-        perj, dl = new_bound(a, da, part, part_t)
+            run = run.perturb(run.da * 0.1)
+        perj, dl = run.product_bound
+        measured = run.measured_sin
         violation = max(measured - perj, perj - dl * (1.0 + 1e-12))
-        records.append(_record(f"dominance-{k:03d}", seed, violation, 0.0))
-        records[-1]["measured"] = measured
-        records[-1]["perj"] = perj
-        records[-1]["dl"] = dl
+        records.append({**_record(f"dominance-{k:03d}", seed, violation, 0.0),
+                        "measured": measured, "perj": perj, "dl": dl})
     return records
 
 
 def _scaling_quantities(a, da, r: int, tol: Tolerances) -> tuple[float, float, float]:
-    ed = eig(a, tol)
-    part = partition(ed, TopKMagnitude(r), tol)
-    ed_t = eig(a + da, tol)
-    part_t = match_partition(ed_t, part, NearestAssignment(), tol)
-    perj, dl = new_bound(a, da, part, part_t)
-    measured = sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q, tol)
-    return perj, dl, measured
+    run = analyze(a, da, TopKMagnitude(r), NearestAssignment(), tol)
+    return (*run.product_bound, run.measured_sin)
 
 
 def run_scaling_suite(base_seed: int = 42,

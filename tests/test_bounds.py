@@ -5,6 +5,7 @@ import pytest
 
 from splab.angles import sin_theta_norm
 from splab.bounds import (
+    analyze,
     classical_bound,
     full_report,
     new_bound,
@@ -108,7 +109,7 @@ def test_new_bound_gap_violated():
     a = np.diag([2.0, 1.0]).astype(np.complex128)
     part = partition(eig(a), TopKMagnitude(1))
     ed_t = eig(np.diag([1.0, 0.5]).astype(np.complex128))
-    part_t = match_partition(ed_t, part, SameSelector(TopKMagnitude(1)), check_gap=False)
+    part_t = match_partition(ed_t, part, SameSelector(TopKMagnitude(1)))
     with pytest.raises(GapViolated):
         new_bound(a, np.eye(2, dtype=np.complex128) * 1e-3, part, part_t)
 
@@ -241,6 +242,34 @@ def test_full_report_dominance_smoke():
             assert rep.kappa_x1 == cond2(part.x1)
             assert rep.kappa_v2 == cond2(part.v2)
             assert rep.measured_sin == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
+            assert rep.a == eig(a).a_norm + rep.da_spec + np.max(np.abs(part.lambda2))
+
+
+def test_analyze_zero_gap_raises_and_full_report_degrades():
+    # the reapplied selector keeps 1.0, which collides with A's complement
+    a = np.diag([2.0, 1.0]).astype(np.complex128)
+    da = np.diag([-1.0, -0.5]).astype(np.complex128)
+    run = analyze(a, da, TopKMagnitude(1))
+    assert run.delta_lambda == 0.0
+    with pytest.raises(GapViolated):
+        run.product_bound
+    rep = full_report(a, da, TopKMagnitude(1))
+    assert not rep.gap_ok
+    assert rep.new_value_perj == math.inf and rep.new_value_dl == math.inf
+
+
+def test_analyze_perturb_matches_a_fresh_analysis():
+    # perturb keeps the A half and reruns only eig(A + dA) and the match
+    for k in range(10):
+        a, da, r = random_diagonalizable_case(9200 + k)
+        run = analyze(a, da, TopKMagnitude(r), NearestAssignment())
+        moved = run.perturb(0.1 * da)
+        fresh = analyze(a, 0.1 * da, TopKMagnitude(r), NearestAssignment())
+        assert moved.part is run.part
+        assert moved.part_tilde.idx1 == fresh.part_tilde.idx1
+        assert moved.product_bound == fresh.product_bound
+        assert moved.measured_sin == fresh.measured_sin
+        assert moved.da_norms == fresh.da_norms
 
 
 def test_classical_bound_dominates_tangent_distance():

@@ -99,6 +99,29 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
     assert run_cli("verify", "lemma32", "--cases", "-3") == 1
     assert run_cli("verify", "lemma32", "--cases", "0") == 1
+    # a selector that leaves one side of the split empty is an input fault
+    one = tmp_path / "one.json"
+    save_matrix(one, np.array([[2.0]], dtype=np.complex128))
+    assert run_cli("report", "--input", str(one), "--perturb", "unit:1,1,1e-6",
+                   "--select", "topk:1") == 1
+    three = tmp_path / "three.json"
+    save_matrix(three, np.diag([3.0, 2.0, 1.0]).astype(np.complex128))
+    assert run_cli("report", "--input", str(three), "--perturb", "unit:1,1,1e-6",
+                   "--select", "topk:3") == 1
+
+
+def test_report_disk_count_change_points_to_nearest_match(tmp_path, capsys):
+    a_path, da_path = tmp_path / "a.json", tmp_path / "da.json"
+    save_matrix(a_path, np.diag([1.0, 0.9, 0.5]).astype(np.complex128))
+    save_matrix(da_path, np.diag([0.0, -0.1, 0.0]).astype(np.complex128))
+    args = ("report", "--input", str(a_path), "--perturb", f"file:{da_path}",
+            "--select", "disk:1+0i:0.15:inside", "--out", str(tmp_path / "rep.json"))
+    capsys.readouterr()
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert "match(A+dA)" in err and "(A+dA keeps 1, A keeps 2)" in err
+    assert "--match nearest" in err
+    assert run_cli(*args, "--match", "nearest") == 0
 
 
 def test_verify_suite_small(tmp_path):

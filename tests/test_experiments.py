@@ -154,12 +154,6 @@ def test_table1_sweep_deterministic_serialization():
     assert sweep_to_csv(res1) != sweep_to_csv(run_table1_sweep([1e-2, 1e-6], 1e-6, 7))
 
 
-def test_table1_sweep_jobs_independent():
-    seq = run_table1_sweep([1e-2, 1e-4, 1e-6], 1e-6, 42, jobs=1)
-    par = run_table1_sweep([1e-2, 1e-4, 1e-6], 1e-6, 42, jobs=3)
-    assert sweep_to_csv(seq) == sweep_to_csv(par)
-
-
 def test_tightness_sweep_slopes():
     for r in (2, 3):
         res = run_tightness_sweep(r, [0.2, 0.1, 0.05], 0.01)

@@ -93,6 +93,7 @@ def test_eig_residuals_on_seeded_cases():
         a = seeded_complex(3000 + k, 8, 8)
         ed = eig(a)
         scale = np.linalg.norm(a, 2)
+        assert ed.a_norm == scale
         assert np.linalg.norm(a @ ed.x - ed.x * ed.lam[np.newaxis, :], 2) <= 1e-10 * scale
         assert np.allclose(np.linalg.norm(ed.x, axis=0), 1.0, atol=1e-13)
         # dual basis and left-eigenvector property

@@ -8,7 +8,6 @@ from splab.errors import (
     AssignmentAmbiguous,
     BoundaryAmbiguity,
     EmptySide,
-    GapViolated,
     RankDeficient,
     SpecViolation,
 )
@@ -23,7 +22,6 @@ from splab.partition import (
     format_selector,
     gap_delta0,
     gap_delta1,
-    gap_delta_lambda,
     match_partition,
     parse_selector,
     partition,
@@ -150,7 +148,7 @@ def test_match_partition_gaussian_delta_lambda():
     da = gen_gaussian_perturbation(3, 1e-6, 424242)
     base = partition(eig(a), TopKMagnitude(2))
     matched = match_partition(eig(a + da), base, NearestAssignment())
-    dl = gap_delta_lambda(matched.lambda1, base.lambda2)
+    dl = gap_delta1(matched.lambda1, base.lambda2)
     assert dl == pytest.approx(0.5 - math.sqrt(eps), abs=1e-4)
 
 
@@ -161,14 +159,6 @@ def test_match_partition_ambiguous():
         match_partition(ed_t, base, NearestAssignment())
 
 
-def test_match_partition_gap_violation():
-    base = partition(eig(np.diag([2.0, 1.0]).astype(np.complex128)), TopKMagnitude(1))
-    # the reapplied selector keeps 1.0, which collides with the base complement
-    ed_t = eig(np.diag([1.0, 0.5]).astype(np.complex128))
-    with pytest.raises(GapViolated):
-        match_partition(ed_t, base, SameSelector(TopKMagnitude(1)))
-
-
 # --- gaps ---
 
 def test_gap_delta1_examples():
@@ -176,12 +166,6 @@ def test_gap_delta1_examples():
     assert gap_delta1([1.0], [1.0]) == 0.0
     assert gap_delta1([0.0, 3.0], [1.0]) == pytest.approx(1.0)
     assert gap_delta1([2.0 + 1.0j], [0.0]) == pytest.approx(math.sqrt(5.0))
-
-
-def test_gap_delta_lambda_examples():
-    assert gap_delta_lambda([1.1, 0.9], [0.5]) == pytest.approx(0.4)
-    with pytest.raises(GapViolated):
-        gap_delta_lambda([1.0], [1.0])
 
 
 def test_gap_delta0_example11():
@@ -238,5 +222,5 @@ def test_delta_lambda_stable_under_all_unit_perturbations():
         for j in range(1, 4):
             da = gen_unit_perturbation(3, i, j, eps1)
             matched = match_partition(eig(a + da), base, NearestAssignment())
-            dl = gap_delta_lambda(matched.lambda1, base.lambda2)
+            dl = gap_delta1(matched.lambda1, base.lambda2)
             assert abs(dl - expected) <= 1e-3

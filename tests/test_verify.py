@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
+from splab.angles import sin_theta_norm
+from splab.bounds import new_bound
 from splab.errors import SpecViolation
+from splab.linalg import eig
+from splab.partition import (
+    NearestAssignment,
+    TopKMagnitude,
+    gap_delta1,
+    match_partition,
+    partition,
+)
 from splab.verify import (
     SUITES,
     random_clustered_case,
     random_diagonalizable_case,
+    run_dominance_suite,
     run_identity_suite,
     run_suite,
 )
@@ -48,3 +59,16 @@ def test_run_suite_dispatch():
     assert all(rec["pass"] for rec in records)
     with pytest.raises(SpecViolation):
         run_suite("nope")
+
+
+def test_dominance_records_match_the_public_entry_points():
+    # the suite reads one analysis per case; new_bound and sin_theta_norm
+    # recompute each quantity from scratch and must agree bit for bit
+    for rec in run_dominance_suite(base_seed=31, cases=8):
+        a, da, r = random_diagonalizable_case(rec["seed"])
+        part = partition(eig(a), TopKMagnitude(r))
+        part_t = match_partition(eig(a + da), part, NearestAssignment())
+        # the sampler's dA already meets delta_lambda >= 10 ||dA||: no rescale
+        assert gap_delta1(part_t.lambda1, part.lambda2) >= 10.0 * np.linalg.norm(da, 2)
+        assert (rec["perj"], rec["dl"]) == new_bound(a, da, part, part_t)
+        assert rec["measured"] == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
