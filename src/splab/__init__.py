@@ -27,7 +27,6 @@ from .linalg import (
     as_matrix,
     cond2,
     eig,
-    kron,
     norms,
     qr_decompose,
 )

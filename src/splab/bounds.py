@@ -20,11 +20,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrsyl
 
 from .angles import sin_theta_norm
 from .config import DEFAULT_TOL, Tolerances
-from .errors import GapViolated, ShapeMismatch, SizeCap
-from .linalg import as_matrix, eig, kron, norms, singular_values
+from .errors import GapViolated, ShapeMismatch
+from .linalg import _square, as_matrix, eig, norms
 from .partition import (
     MatchStrategy,
     SameSelector,
@@ -35,6 +37,7 @@ from .partition import (
     match_partition,
     partition,
 )
+from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -190,21 +193,70 @@ def classical_bound(part: SpectralPartition, da_spec: float,
     return math.inf, False
 
 
-def sep_frobenius(l1, l2, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Smallest singular value of T -> T L1 - L2 T on vectorized T.
+SEP_MAX_ITER = 200  # Lanczos steps before sep_frobenius gives up and returns nan
+_SEP_SEED = 0x5EB  # fixes the Lanczos start and restart vectors
+
+
+def _sep_vectors(size: int):
+    """Fixed pseudo-random complex vectors of length ``size``, real and
+    imaginary parts uniform in (-1/2, 1/2): the first starts Lanczos, the
+    rest restart it."""
+    gen = SplitMix64(_SEP_SEED)
+    while True:
+        parts = np.array([gen.uniform() - 0.5 for _ in range(2 * size)])
+        yield parts[0::2] + 1j * parts[1::2]
+
+
+def _orthogonalize(w, basis):
+    w = w - basis.T @ (basis.conj() @ w)
+    return w - basis.T @ (basis.conj() @ w)  # second Gram-Schmidt pass
+
+
+def sep_frobenius(l1, l2) -> float:
+    """Smallest singular value of S: T -> T L1 - L2 T on vectorized T.
 
     This is the Frobenius-geometry surrogate for the spectral-norm
     separation; the exact spectral-norm version has no finite closed form.
+    S has the singular values of T -> T R1 - R2 T for the complex Schur
+    factors R1, R2 of L1, L2, so a product with S^-* S^-1 is two triangular
+    Sylvester solves (Bartels-Stewart).  Lanczos on S^-* S^-1 starts from a
+    fixed pseudo-random vector, restarts orthogonally to its basis when the
+    Krylov space turns invariant, and stops once the Ritz value of the
+    current Krylov sequence rises by at most 1e-15 relative.  Returns
+    exactly 0.0 when the computed Schur diagonals of L1 and L2 share a
+    value, and nan when ``SEP_MAX_ITER`` steps do not converge.
     """
-    l1 = as_matrix(l1, "L1")
-    l2 = as_matrix(l2, "L2")
-    if l1.shape[0] != l1.shape[1] or l2.shape[0] != l2.shape[1]:
-        raise ShapeMismatch("sep_frobenius: inputs must be square")
-    r, m = l1.shape[0], l2.shape[0]
-    if r * m > tol.size_cap:
-        raise SizeCap(f"sep_frobenius: r*(n-r) = {r * m} exceeds {tol.size_cap}")
-    op = kron(l1.T, np.eye(m, dtype=np.complex128)) - kron(np.eye(r, dtype=np.complex128), l2)
-    return float(singular_values(op)[-1])
+    r1 = scipy.linalg.schur(_square(l1, "L1"), output="complex")[0]
+    r2 = scipy.linalg.schur(_square(l2, "L2"), output="complex")[0]
+    if np.any(np.diagonal(r2)[:, np.newaxis] == np.diagonal(r1)[np.newaxis, :]):
+        return 0.0
+    m, r = r2.shape[0], r1.shape[0]
+    steps = min(m * r, SEP_MAX_ITER)
+    vectors = _sep_vectors(m * r)
+    w = next(vectors)
+    basis = (w / np.linalg.norm(w))[np.newaxis, :]
+    ritz_matrix = np.zeros((steps, steps), dtype=np.complex128)  # lower triangle used
+    start, lam = 0, 0.0  # first basis index of the current Krylov sequence, its Ritz value
+    for k in range(steps):
+        # info = 1 (LAPACK perturbed near-common eigenvalues) is accepted on
+        # purpose: the solve is then approximate, and sep is of rounding size
+        y, scale, _ = ztrsyl(r2, r1, basis[k].reshape(m, r), isgn=-1)
+        w, scale2, _ = ztrsyl(r2, r1, y / scale, trana="C", tranb="C", isgn=-1)
+        w = w.reshape(-1) / scale2
+        h = basis.conj() @ w
+        ritz_matrix[k, : k + 1] = h.conj()
+        w = _orthogonalize(w, basis)
+        ritz = float(np.linalg.eigvalsh(ritz_matrix[start : k + 1, start : k + 1])[-1])
+        if ritz - lam <= 1e-15 * ritz or k + 1 == m * r:
+            return 1.0 / math.sqrt(np.linalg.eigvalsh(ritz_matrix[: k + 1, : k + 1])[-1])
+        b = np.linalg.norm(w)
+        if b <= 1e-15 * ritz:  # invariant Krylov space: restart orthogonally to it
+            w = _orthogonalize(next(vectors), basis)
+            b = np.linalg.norm(w)
+            start, ritz = k + 1, 0.0
+        lam = ritz
+        basis = np.vstack([basis, w / b])
+    return math.nan
 
 
 def sep_lower_bound(delta0: float, kappa_rx1: float, kappa_rv2: float) -> float:
@@ -239,7 +291,7 @@ def full_report(a_mat, da, selector: Selector,
 
     l1_block = part.qr_x1.q.conj().T @ run.a @ part.qr_x1.q
     l2_block = part.qr_v2.q.conj().T @ run.a @ part.qr_v2.q
-    sep_frob = sep_frobenius(l1_block, l2_block, tol)
+    sep_frob = sep_frobenius(l1_block, l2_block)
     measured = run.measured_sin
     return BoundReport(
         gap=GapReport(delta0=delta0, delta1=delta1,

@@ -21,19 +21,18 @@ class Tolerances:
     assign_tol: float = 1e-12     # assignment ambiguity, scaled by spectral scale
     contour_margin: float = 0.05  # eigenvalue clearance from the circle, scaled by radius
     resolvent_tol: float = 1e-10  # minimum node-to-eigenvalue distance, scaled by radius
-    size_cap: int = 4096          # max r*(n-r) for the dense Sylvester operator
     quad_tol: float = 1e-8        # residue-vs-quadrature agreement
     suite_kappa_cap: float = 1e6  # identity-suite filter on kappa2(R_V2)*kappa2(R_X1t)
     sigma_r_floor: float = 1e-280 # skip charpoly rows whose constant term underflows
 
     def override(self, **updates) -> "Tolerances":
-        """Return a copy with the given fields replaced (values coerced by field type)."""
-        fields = {f.name: f.type for f in dataclasses.fields(self)}
+        """Return a copy with the given fields replaced (values coerced to float)."""
+        fields = {f.name for f in dataclasses.fields(self)}
         coerced = {}
         for key, val in updates.items():
             if key not in fields:
                 raise KeyError(f"unknown tolerance {key!r}")
-            coerced[key] = int(val) if key == "size_cap" else float(val)
+            coerced[key] = float(val)
         return dataclasses.replace(self, **coerced)
 
 

@@ -58,10 +58,6 @@ class GapViolated(SplabError):
     """A required eigengap is zero; downstream quantities are undefined."""
 
 
-class SizeCap(SplabError):
-    """A dense construction would exceed the configured size limit."""
-
-
 class EnclosureViolated(SplabError):
     """A contour does not cleanly separate the two spectral sets."""
 

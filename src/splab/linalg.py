@@ -20,7 +20,6 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
     Singular,
-    SizeCap,
 )
 
 
@@ -124,13 +123,9 @@ def qr_decompose(z, tol: Tolerances = DEFAULT_TOL) -> QRFactors:
     return QRFactors(q=q, r=r, kappa=float(s[0] / s[-1]))
 
 
-def kron(a, b) -> np.ndarray:
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    total = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if total > 1 << 22:
-        raise SizeCap(f"kron: result would hold {total} entries")
-    return np.kron(a, b)
+# Unused since sep_frobenius stopped forming the dense Kronecker operator;
+# the name stays because the benchmark's tracer (bench/tracer.py) wraps it.
+kron = np.kron
 
 
 def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:

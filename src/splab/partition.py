@@ -134,6 +134,8 @@ MatchStrategy = Union[SameSelector, NearestAssignment]
 
 def _side1_indices(lam: np.ndarray, sel: Selector, tol: Tolerances) -> list[int]:
     n = lam.shape[0]
+    if n == 1:
+        raise EmptySide("a 1x1 matrix has no split: each side needs an eigenvalue")
     if isinstance(sel, TopKMagnitude):
         if not 1 <= sel.k <= n - 1:
             raise EmptySide(f"topk: k={sel.k} must lie in 1..{n - 1}")

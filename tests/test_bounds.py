@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import splab.bounds
 from splab.angles import sin_theta_norm
 from splab.bounds import (
     analyze,
@@ -13,7 +16,7 @@ from splab.bounds import (
     sep_lower_bound,
     stewart_condition,
 )
-from splab.errors import GapViolated, SizeCap
+from splab.errors import GapViolated
 from splab.experiments import (
     Example11,
     TightR2,
@@ -168,10 +171,98 @@ def test_sep_frobenius_diagonal_seeded_sweep():
         assert abs(got - gap) <= 1e-12
 
 
-def test_sep_frobenius_size_cap():
-    with pytest.raises(SizeCap):
-        sep_frobenius(np.eye(80, dtype=np.complex128),
-                      np.eye(80, dtype=np.complex128))
+def dense_sep(l1, l2):
+    """Oracle: smallest singular value of the dense Kronecker operator
+    kron(L1^T, I) - kron(I, L2) of T -> T L1 - L2 T."""
+    op = np.kron(l1.T, np.eye(l2.shape[0])) - np.kron(np.eye(l1.shape[0]), l2)
+    return np.linalg.svd(op, compute_uv=False)[-1]
+
+
+def non_normal_pair(g, r, m):
+    """Complex Gaussian blocks with their strictly upper parts tripled."""
+    l1 = g.complex_normals(r, r)
+    l2 = g.complex_normals(m, m)
+    return l1 + 2.0 * np.triu(l1, 1), l2 + 2.0 * np.triu(l2, 1)
+
+
+def test_sep_frobenius_matches_dense_kronecker_oracle_seeded_sweep():
+    for k in range(150):
+        g = SplitMix64(2600 + k)
+        l1, l2 = non_normal_pair(g, g.integer(1, 6), g.integer(1, 6))
+        assert sep_frobenius(l1, l2) == pytest.approx(dense_sep(l1, l2), rel=1e-10)
+    # the 2x1 blocks of the near-Jordan family at its most ill-conditioned point
+    a, part, _ = example11_parts(1e-10, np.zeros((3, 3), dtype=np.complex128))
+    l1 = part.qr_x1.q.conj().T @ a @ part.qr_x1.q
+    l2 = part.qr_v2.q.conj().T @ a @ part.qr_v2.q
+    assert sep_frobenius(l1, l2) == pytest.approx(dense_sep(l1, l2), rel=1e-10)
+    assert sep_frobenius(l2, l1) == pytest.approx(dense_sep(l2, l1), rel=1e-10)
+
+
+def test_sep_frobenius_shared_eigenvalue_is_exactly_zero():
+    l1, _ = non_normal_pair(SplitMix64(5), 4, 1)
+    assert sep_frobenius(l1, l1) == 0.0
+    jordan = np.array([[0.5, 3.0], [0.0, 2.0]], dtype=np.complex128)
+    assert sep_frobenius(jordan, np.array([[2.0]], dtype=np.complex128)) == 0.0
+
+
+def test_sep_frobenius_smallest_operators():
+    # r(n-r) = 1: S is multiplication by l1 - l2
+    assert sep_frobenius([[1.5 + 0.5j]], [[0.5]]) == pytest.approx(abs(1.0 + 0.5j), rel=1e-15)
+    # r(n-r) = 2, both ways round
+    l1, l2 = non_normal_pair(SplitMix64(8), 2, 1)
+    assert sep_frobenius(l1, l2) == pytest.approx(dense_sep(l1, l2), rel=1e-10)
+    assert sep_frobenius(l2, l1) == pytest.approx(dense_sep(l2, l1), rel=1e-10)
+
+
+def test_sep_frobenius_restarts_when_the_start_is_an_inner_eigenvector(monkeypatch):
+    # S: T -> T L1 has singular values sqrt(40) and sqrt(10); the all-ones
+    # vector belongs to sqrt(40), an inner eigenvalue of S^-* S^-1
+    l1 = np.array([[5.0, 3.0], [0.0, 4.0]], dtype=np.complex128)
+    l2 = np.array([[0.0]], dtype=np.complex128)
+    assert dense_sep(l1, l2) == pytest.approx(math.sqrt(10.0), rel=1e-14)
+    assert sep_frobenius(l1, l2) == pytest.approx(math.sqrt(10.0), rel=1e-12)
+    # started from that vector the Krylov space is invariant at once
+    monkeypatch.setattr(splab.bounds, "_sep_vectors",
+                        lambda size: iter([np.ones(size), np.eye(size)[0]]))
+    assert sep_frobenius(l1, l2) == pytest.approx(math.sqrt(10.0), rel=1e-12)
+    # diagonal d: after the breakdown on e1 (1/d^2 = 1/4) the restart vector's
+    # first two Ritz values stay below 1/4, yet its Krylov space reaches 1/1
+    l1 = np.diag([2.0, 1.0, 4.0, 3.0, 5.0]).astype(np.complex128)
+    starts = [np.eye(5)[0], np.array([0.0, 0.01, 1.0, 1.0, 1.0])]
+    monkeypatch.setattr(splab.bounds, "_sep_vectors", lambda size: iter(starts))
+    assert sep_frobenius(l1, l2) == pytest.approx(1.0, rel=1e-12)
+    # the top eigenvalue found before a restart is kept after it
+    starts = [np.eye(5)[1], np.ones(5)]
+    assert sep_frobenius(l1, l2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_sep_frobenius_gives_nan_when_the_iteration_cap_is_hit(monkeypatch):
+    a, part, _ = example11_parts(1e-4, np.zeros((3, 3), dtype=np.complex128))
+    l1 = part.qr_x1.q.conj().T @ a @ part.qr_x1.q
+    l2 = part.qr_v2.q.conj().T @ a @ part.qr_v2.q
+    ok = full_report(a, gen_gaussian_perturbation(3, 1e-6, 42), TopKMagnitude(2))
+    assert ok.stewart_condition_ok
+    monkeypatch.setattr(splab.bounds, "SEP_MAX_ITER", 1)
+    assert math.isnan(sep_frobenius(l1, l2))
+    rep = full_report(a, gen_gaussian_perturbation(3, 1e-6, 42), TopKMagnitude(2))
+    assert math.isnan(rep.sep_frob)
+    assert not rep.stewart_condition_ok
+    # nothing else in the report depends on sep
+    assert (rep.new_value_perj, rep.classical_value, rep.measured_sin) == (
+        ok.new_value_perj, ok.classical_value, ok.measured_sin)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(r=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sep_frobenius_unitary_invariance_and_gap_bound(r, m, seed):
+    g = SplitMix64(seed)
+    l1, l2 = non_normal_pair(g, r, m)
+    u = np.linalg.qr(g.complex_normals(r, r))[0]
+    w = np.linalg.qr(g.complex_normals(m, m))[0]
+    sep = sep_frobenius(l1, l2)
+    assert sep_frobenius(u @ l1 @ u.conj().T, w @ l2 @ w.conj().T) == pytest.approx(sep, rel=1e-10)
+    gaps = np.abs(np.linalg.eigvals(l1)[:, np.newaxis] - np.linalg.eigvals(l2)[np.newaxis, :])
+    assert sep <= np.min(gaps) * (1 + 1e-12)
 
 
 def test_sep_lower_bound_examples():
@@ -243,6 +334,16 @@ def test_full_report_dominance_smoke():
             assert rep.kappa_v2 == cond2(part.v2)
             assert rep.measured_sin == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
             assert rep.a == eig(a).a_norm + rep.da_spec + np.max(np.abs(part.lambda2))
+
+
+def test_full_report_beyond_the_old_kronecker_size_cap():
+    # r(n-r) = 3600: the dense operator would hold 1.3e7 entries
+    a = SplitMix64(120).complex_normals(120, 120) / np.sqrt(240.0)
+    rep = full_report(a, gen_gaussian_perturbation(120, 1e-8, 120), TopKMagnitude(60))
+    part = partition(eig(a), TopKMagnitude(60))
+    gap = np.min(np.abs(part.lambda1[:, np.newaxis] - part.lambda2[np.newaxis, :]))
+    assert math.isfinite(rep.sep_frob)
+    assert 0.0 < rep.sep_frob <= gap
 
 
 def test_analyze_zero_gap_raises_and_full_report_degrades():

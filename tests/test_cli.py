@@ -82,7 +82,7 @@ def test_numerical_failure_exits_3(tmp_path):
     assert run_cli("eig", "--input", str(jordan)) == 3
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("nosuchcommand") == 1
     assert run_cli("verify", "nosuchsuite") == 1
     a_path = tmp_path / "a.json"
@@ -99,11 +99,17 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
     assert run_cli("verify", "lemma32", "--cases", "-3") == 1
     assert run_cli("verify", "lemma32", "--cases", "0") == 1
+    # the dense Kronecker operator and its size cap are gone
+    assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
+                   "--select", "topk:2", "--tol", "size_cap=4096") == 1
     # a selector that leaves one side of the split empty is an input fault
     one = tmp_path / "one.json"
     save_matrix(one, np.array([[2.0]], dtype=np.complex128))
+    capsys.readouterr()
     assert run_cli("report", "--input", str(one), "--perturb", "unit:1,1,1e-6",
                    "--select", "topk:1") == 1
+    assert capsys.readouterr().err == (
+        "splab: a 1x1 matrix has no split: each side needs an eigenvalue\n")
     three = tmp_path / "three.json"
     save_matrix(three, np.diag([3.0, 2.0, 1.0]).astype(np.complex128))
     assert run_cli("report", "--input", str(three), "--perturb", "unit:1,1,1e-6",
@@ -122,6 +128,23 @@ def test_report_disk_count_change_points_to_nearest_match(tmp_path, capsys):
     assert "match(A+dA)" in err and "(A+dA keeps 1, A keeps 2)" in err
     assert "--match nearest" in err
     assert run_cli(*args, "--match", "nearest") == 0
+
+
+def test_report_unconverged_sep_is_nan_with_the_same_exit_code(tmp_path, monkeypatch):
+    import splab.bounds
+    a_path = tmp_path / "a.json"
+    run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path))
+    args = ("report", "--input", str(a_path), "--perturb", "gaussian:1e-6", "--select", "topk:2")
+    assert run_cli(*args, "--out", str(tmp_path / "ok.json")) == 0
+    ok = json.loads((tmp_path / "ok.json").read_text())
+    monkeypatch.setattr(splab.bounds, "SEP_MAX_ITER", 1)
+    assert run_cli(*args, "--out", str(tmp_path / "nan.json")) == 0
+    rep = json.loads((tmp_path / "nan.json").read_text())
+    assert ok["stewart_condition_ok"] is True
+    assert rep["sep_frob"] == "nan" and rep["stewart_condition_ok"] is False
+    rep.pop("sep_frob"), ok.pop("sep_frob")
+    rep.pop("stewart_condition_ok"), ok.pop("stewart_condition_ok")
+    assert rep == ok
 
 
 def test_verify_suite_small(tmp_path):

@@ -7,13 +7,11 @@ from splab.errors import (
     RankDeficient,
     ShapeMismatch,
     Singular,
-    SizeCap,
 )
 from splab.linalg import (
     as_matrix,
     cond2,
     eig,
-    kron,
     norms,
     qr_decompose,
 )
@@ -157,31 +155,3 @@ def test_norm_and_cond_examples():
     assert frob == pytest.approx(5.0)
     with pytest.raises(Singular):
         cond2(np.zeros((2, 2), dtype=np.complex128))
-
-
-# --- kron ---
-
-def test_kron_block_structure():
-    m = seeded_complex(10, 2, 2)
-    k = kron(np.eye(2), m)
-    assert np.allclose(k[:2, :2], m)
-    assert np.allclose(k[2:, 2:], m)
-    assert np.allclose(k[:2, 2:], 0.0)
-    d = kron(np.diag([2.0, 3.0]).astype(np.complex128), np.eye(2))
-    assert np.allclose(np.diagonal(d), [2.0, 2.0, 3.0, 3.0])
-
-
-def test_kron_hand_expansion():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
-    b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    expected = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            expected[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = a[i, j] * b
-    assert np.array_equal(kron(a, b), expected)
-
-
-def test_kron_size_guard():
-    big = np.ones((3000, 1), dtype=np.complex128)
-    with pytest.raises(SizeCap):
-        kron(big, big.T)

@@ -16,6 +16,7 @@ from splab.verify import (
     SUITES,
     random_clustered_case,
     random_diagonalizable_case,
+    run_contour_suite,
     run_dominance_suite,
     run_identity_suite,
     run_suite,
@@ -72,3 +73,11 @@ def test_dominance_records_match_the_public_entry_points():
         assert gap_delta1(part_t.lambda1, part.lambda2) >= 10.0 * np.linalg.norm(da, 2)
         assert (rec["perj"], rec["dl"]) == new_bound(a, da, part, part_t)
         assert rec["measured"] == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
+
+
+@pytest.mark.parametrize("base_seed", [42, 9])
+def test_contour_residue_record_compares_against_the_cross_gram(base_seed):
+    rec = {r["case_id"]: r for r in run_contour_suite(base_seed)}["residue-vs-hadamard"]
+    # a second, independently rounded route: the residual is small but not 0
+    assert 0.0 < rec["residual"] <= rec["threshold"]
+    assert rec["pass"]
