@@ -65,10 +65,8 @@ def _checked_pair(q1, q2, tol: Tolerances, caller: str) -> tuple[np.ndarray, np.
     return q1, q2
 
 
-def _angles(q1: np.ndarray, q2: np.ndarray,
-            tol: Tolerances) -> tuple[SubspaceDistance, np.ndarray]:
-    """Principal angles of a checked pair, plus the unclipped singular values
-    of Q1perp* Q2 (empty when Q1 is square)."""
+def _angles(q1: np.ndarray, q2: np.ndarray, tol: Tolerances) -> SubspaceDistance:
+    """Principal angles of a checked pair."""
     n, r = q1.shape
     cosines = np.clip(singular_values(q1.conj().T @ q2), 0.0, 1.0)
     comp_sv = singular_values(orth_complement(q1, tol).conj().T @ q2) if r < n \
@@ -80,43 +78,34 @@ def _angles(q1: np.ndarray, q2: np.ndarray,
     with np.errstate(divide="ignore"):
         tans = np.where(cosines > 0.0, sines / np.where(cosines > 0.0, cosines, 1.0), np.inf)
     tan_norm = float(np.max(tans)) if r else 0.0
-    dist = SubspaceDistance(cosines=cosines, sines=sines, sin_norm=sin_norm,
+    return SubspaceDistance(cosines=cosines, sines=sines, sin_norm=sin_norm,
                             tan_norm=tan_norm)
-    return dist, comp_sv
 
 
 def principal_angles(q1, q2, tol: Tolerances = DEFAULT_TOL) -> SubspaceDistance:
     """Principal angles between span(Q1) and span(Q2); inputs orthonormal."""
     q1, q2 = _checked_pair(q1, q2, tol, "principal_angles")
-    return _angles(q1, q2, tol)[0]
+    return _angles(q1, q2, tol)
 
 
 def sin_theta_norm(q1, q2, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest principal-angle sine, cross-checked through three routes.
+    """Largest principal-angle sine, cross-checked two ways.
 
-    The returned value is max sine from the principal angles.  It is compared
-    against ||Q1perp* Q2||, against the symmetric ||Q2perp* Q1||, and (in
+    The returned value is the max sine from the principal angles, that is
+    ||Q1perp* Q2|| clipped to [0, 1].  It is compared against the symmetric ||Q2perp* Q1|| and (in
     squared form, which avoids the 1/sin error amplification at tiny angles)
     against 1 - sigma_min(Q1* Q2)^2.  Disagreement beyond ``cross_tol``
     signals orthonormality loss upstream.
     """
     q1, q2 = _checked_pair(q1, q2, tol, "sin_theta_norm")
     n, r = q1.shape
-    dist, comp_sv = _angles(q1, q2, tol)
+    dist = _angles(q1, q2, tol)
     value = dist.sin_norm
-
-    if r < n:
-        direct = float(comp_sv[0])
-        sym = float(singular_values(orth_complement(q2, tol).conj().T @ q1)[0])
-    else:
-        direct = 0.0
-        sym = 0.0
+    sym = float(singular_values(orth_complement(q2, tol).conj().T @ q1)[0]) if r < n \
+        else 0.0
     smin = float(dist.cosines[-1])
     sq_alt = 1.0 - smin * smin
 
-    if abs(value - direct) > tol.cross_tol:
-        raise CrossCheckFailure(
-            f"sin_theta_norm: complement route {direct:.3e} vs {value:.3e}")
     if abs(value - sym) > tol.cross_tol:
         raise CrossCheckFailure(
             f"sin_theta_norm: symmetric route {sym:.3e} vs {value:.3e}")

@@ -282,7 +282,7 @@ def full_report(a_mat, da, selector: Selector,
     run = analyze(a_mat, da, selector, match, tol)
     part = run.part
     delta1 = gap_delta1(part.lambda1, part.lambda2)
-    delta0, t0_star = gap_delta0(part.lambda1, part.lambda2, tol)
+    delta0, t0_star = gap_delta0(part.lambda1, part.lambda2)
     gap_ok = run.delta_lambda > 0.0
     da_spec, da_frob = run.da_norms
 

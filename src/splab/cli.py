@@ -9,6 +9,7 @@ that leaves one side of the split empty), 2 an assumption flag fired
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -63,16 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("suite",
-                       help="lemma32 | lemma33 | contour | dominance | scaling")
+    p_ver.add_argument("suite", help=" | ".join(verify.SUITES))
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--cases", type=int, default=None)
     p_ver.add_argument("--out", default=None)
     p_ver.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_ex = sub.add_parser("example", help="generate a worked example matrix")
-    p_ex.add_argument("family",
-                      help="example11 | tightr2 | tightgeneral | v2necessity3 | v2necessityn")
+    p_ex.add_argument("family", help=" | ".join(experiments.FAMILIES))
     p_ex.add_argument("--eps", type=float, default=None)
     p_ex.add_argument("--delta", type=float, default=None)
     p_ex.add_argument("--delta1", type=float, default=None)
@@ -177,9 +176,6 @@ def _cmd_report(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = _resolve_tol(args.tol)
-    if args.suite not in verify.SUITES:
-        raise _UsageError(
-            f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
     if args.cases is not None and args.cases < 1:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     records = verify.run_suite(args.suite, _resolve_seed(args.seed), args.cases, tol)
@@ -193,33 +189,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _require(value, name: str):
-    if value is None:
-        raise _UsageError(f"example family requires {name}")
-    return value
-
-
 def _example_spec(args):
-    family = args.family.lower()
-    if family == "example11":
-        return experiments.Example11(eps=_require(args.eps, "--eps"))
-    if family == "tightr2":
-        return experiments.TightR2(delta=_require(args.delta, "--delta"),
-                                   eps=_require(args.eps, "--eps"))
-    if family == "tightgeneral":
-        return experiments.TightGeneral(r=_require(args.r, "--r"),
-                                        delta=_require(args.delta, "--delta"),
-                                        eps=_require(args.eps, "--eps"))
-    if family == "v2necessity3":
-        return experiments.V2Necessity3(delta=_require(args.delta, "--delta"),
-                                        delta1=_require(args.delta1, "--delta1"),
-                                        eps=_require(args.eps, "--eps"))
-    if family == "v2necessityn":
-        return experiments.V2NecessityN(n=_require(args.n, "--n"),
-                                        delta=_require(args.delta, "--delta"),
-                                        delta1=_require(args.delta1, "--delta1"),
-                                        eps=_require(args.eps, "--eps"))
-    raise _UsageError(f"unknown example family {args.family!r}")
+    family = experiments.FAMILIES.get(args.family.lower())
+    if family is None:
+        raise _UsageError(f"unknown example family {args.family!r}")
+    values = {}
+    for f in dataclasses.fields(family):
+        values[f.name] = getattr(args, f.name)
+        if values[f.name] is None:
+            raise _UsageError(f"example family requires --{f.name}")
+    return family(**values)
 
 
 def _cmd_example(args) -> int:
@@ -261,7 +240,7 @@ def _cmd_sweep(args) -> int:
         _emit(io.records_to_json([record]), args.out)
         return EXIT_OK
     elif family == "special":
-        rows = experiments.run_special_perturbation_suite(args.eps, args.eps1, tol)
+        rows = experiments.run_special_perturbation_suite(args.eps, args.eps1)
         _emit(io.records_to_json(rows), args.out)
         return EXIT_NUMERICAL if any(not row["pass"] for row in rows) else EXIT_OK
     else:
@@ -290,7 +269,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
     except (InvalidMatrix, SpecViolation, IndexOutOfRange, EmptySide,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
     except SplabError as exc:

@@ -1,7 +1,9 @@
 """Centralized numerical tolerances.
 
 One frozen record so that each class of test has a single knob. CLI ``--tol``
-overrides produce a modified copy; library defaults never mutate.
+overrides produce a modified copy; library defaults never mutate.  The
+verification suites' pass and filter criteria are not tolerances: they are
+constants in ``verify``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ class Tolerances:
     assign_tol: float = 1e-12     # assignment ambiguity, scaled by spectral scale
     contour_margin: float = 0.05  # eigenvalue clearance from the circle, scaled by radius
     resolvent_tol: float = 1e-10  # minimum node-to-eigenvalue distance, scaled by radius
-    quad_tol: float = 1e-8        # residue-vs-quadrature agreement
-    suite_kappa_cap: float = 1e6  # identity-suite filter on kappa2(R_V2)*kappa2(R_X1t)
-    sigma_r_floor: float = 1e-280 # skip charpoly rows whose constant term underflows
 
     def override(self, **updates) -> "Tolerances":
         """Return a copy with the given fields replaced (values coerced to float)."""

@@ -68,6 +68,10 @@ class V2NecessityN:
 
 ExampleSpec = Union[Example11, TightR2, TightGeneral, V2Necessity3, V2NecessityN]
 
+# CLI family name -> spec class; each field is read from the flag of its name
+FAMILIES = {"example11": Example11, "tightr2": TightR2, "tightgeneral": TightGeneral,
+            "v2necessity3": V2Necessity3, "v2necessityn": V2NecessityN}
+
 
 @dataclass(frozen=True)
 class ExampleFacts:
@@ -357,8 +361,7 @@ def run_v2_necessity(delta: float, delta1: float, eps: float, n: int | None = No
 SPECIAL_ZERO_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (3, 3))
 
 
-def run_special_perturbation_suite(eps: float, eps1: float,
-                                   tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_special_perturbation_suite(eps: float, eps1: float) -> list[dict]:
     """All nine unit perturbations of the near-Jordan family: seven leave the
     studied subspace exactly invariant, the two bottom-row couplings move it
     by at most a small multiple of the perturbation size."""

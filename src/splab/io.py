@@ -48,17 +48,17 @@ def obj_to_matrix(obj: dict, name: str = "matrix") -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"{name}: missing rows/cols/entries: {exc}") from exc
-    if len(entries) != rows * cols:
-        raise InvalidMatrix(
-            f"{name}: expected {rows * cols} entries, got {len(entries)}")
-    data = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        try:
-            re, im = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InvalidMatrix(f"{name}: bad entry at index {k}: {pair!r}") from exc
-        data[k] = complex(re, im)
-    return as_matrix(data.reshape(rows, cols), name)
+    if rows < 1 or cols < 1:
+        raise InvalidMatrix(f"{name}: need rows and cols >= 1, got {rows}x{cols}")
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrix(f"{name}: entries are not [re, im] number pairs: {exc}") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise InvalidMatrix(f"{name}: expected {rows * cols} [re, im] entries, "
+                            f"got an array of shape {pairs.shape}")
+    # each row-major [re, im] pair is one complex128, bit for bit
+    return as_matrix(pairs.view(np.complex128).reshape(rows, cols), name)
 
 
 def _parse_complex_cell(cell: str, row: int, col: int) -> complex:

@@ -59,7 +59,8 @@ class Contour:
 
 @dataclass(frozen=True)
 class OracleContext:
-    """Shared state for the identity verifiers of one (A, dA, split) case."""
+    """Shared state for the identity verifiers of one (A, dA, split) case;
+    the coupling blocks are derived on first use and kept."""
 
     a: np.ndarray
     a_tilde: np.ndarray
@@ -67,7 +68,29 @@ class OracleContext:
     part: SpectralPartition
     part_tilde: SpectralPartition
     gap_recip: np.ndarray   # (n-r) x r entrywise reciprocal eigenvalue differences
-    coupling: np.ndarray    # (gap_recip o V2* dA X1t) R_X1t^{-1}
+
+    @functools.cached_property
+    def cross(self) -> np.ndarray:
+        """V2* dA X1t, the projected perturbation."""
+        return self.part.v2.conj().T @ self.da @ self.part_tilde.x1
+
+    @functools.cached_property
+    def hadamard(self) -> np.ndarray:
+        """gap_recip o V2* dA X1t, which the identity says equals V2* X1t."""
+        return self.gap_recip * self.cross
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """(gap_recip o V2* dA X1t) R_X1t^{-1}."""
+        r_x1t = self.part_tilde.qr_x1.r
+        return scipy.linalg.solve_triangular(r_x1t.T, self.hadamard.T, lower=True).T
+
+    @functools.cached_property
+    def framed(self) -> np.ndarray:
+        """R_V2^{-*} (gap_recip o V2* dA X1t) R_X1t^{-1}, the framed Hadamard form."""
+        r_v2, r_x1t = self.part.qr_v2.r, self.part_tilde.qr_x1.r
+        left = scipy.linalg.solve_triangular(r_v2.conj().T, self.hadamard, lower=True)
+        return scipy.linalg.solve_triangular(r_x1t.T, left.T, lower=True).T
 
     @functools.cached_property
     def kprod(self) -> float:
@@ -92,37 +115,24 @@ def build_oracle_context(a, da, selector: Selector,
     run = analyze(a, da, selector, match, tol)
     part, part_t = run.part, run.part_tilde
     recip = reciprocal_gap_matrix(part_t.lambda1, part.lambda2)
-    hadamard = recip * (part.v2.conj().T @ run.da @ part_t.x1)
-    coupling = scipy.linalg.solve_triangular(part_t.qr_x1.r.T, hadamard.T, lower=True).T
     return OracleContext(a=run.a, a_tilde=run.a + run.da, da=run.da, part=part,
-                         part_tilde=part_t, gap_recip=recip, coupling=coupling)
+                         part_tilde=part_t, gap_recip=recip)
 
 
 def hadamard_identity_residual(ctx: OracleContext) -> float:
     """|| cross-Gram of (Q_V2, Q_X1t)  -  framed Hadamard form ||.
 
-    Both sides are computed from scratch: the left side multiplies the two Q
-    factors, the right side assembles the Hadamard product and inverts the
-    two R factors by triangular solves.
+    The left side multiplies the two Q factors; the right side assembles the
+    Hadamard product and inverts the two R factors by triangular solves.
     """
     lhs = ctx.part.qr_v2.q.conj().T @ ctx.part_tilde.qr_x1.q
-    rhs = _hadamard_rhs(ctx)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    return float(np.linalg.norm(lhs - ctx.framed, 2))
 
 
-def _hadamard_rhs(ctx: OracleContext) -> np.ndarray:
-    hadamard = ctx.gap_recip * (ctx.part.v2.conj().T @ ctx.da @ ctx.part_tilde.x1)
-    r_v2 = ctx.part.qr_v2.r
-    r_x1t = ctx.part_tilde.qr_x1.r
-    left = scipy.linalg.solve_triangular(r_v2.conj().T, hadamard, lower=True)
-    return scipy.linalg.solve_triangular(r_x1t.T, left.T, lower=True).T
-
-
-def hadamard_identity_threshold(ctx: OracleContext,
-                                tol: Tolerances = DEFAULT_TOL) -> float:
+def hadamard_identity_threshold(ctx: OracleContext) -> float:
     """Acceptance threshold: 1e-8, scaled up only for right-hand sides above
     unit norm or conditioning products beyond the suite cap."""
-    rhs_norm = float(np.linalg.norm(_hadamard_rhs(ctx), 2))
+    rhs_norm = float(np.linalg.norm(ctx.framed, 2))
     return 1e-8 * max(1.0, rhs_norm) * max(1.0, ctx.kprod / 1e8)
 
 
@@ -237,7 +247,7 @@ def residue_coupling_matrix(ctx: OracleContext) -> np.ndarray:
     """Coupling block before the R-factor framing, from the residue formula:
     entrywise (perturbed-kept minus complement eigenvalue)^{-1} times the
     projected perturbation."""
-    return ctx.gap_recip * (ctx.part.v2.conj().T @ ctx.da @ ctx.part_tilde.x1)
+    return ctx.hadamard
 
 
 def contour_coupling_matrix(ctx: OracleContext, contour: Contour | None = None,
@@ -257,7 +267,7 @@ def contour_coupling_matrix(ctx: OracleContext, contour: Contour | None = None,
     if not np.all(in_mask[: inside.shape[0]]) or np.any(in_mask[inside.shape[0]:]):
         raise EnclosureViolated("contour_coupling_matrix: circle does not enclose "
                                 "exactly the kept spectra")
-    core = ctx.part.v2.conj().T @ ctx.da @ ctx.part_tilde.x1
+    core = ctx.cross
     pts, weights = contour.points()
     acc = np.zeros_like(core)
     l2 = ctx.part.lambda2

@@ -234,6 +234,11 @@ def gap_delta1(lambda1, lambda2) -> float:
     return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
 
 
+# eigenvalue-centre pairs per _disk_margins call on the grid, which bounds the
+# memory of the grid search at large n (below 24 eigenvalues it is one call)
+GRID_PAIRS_PER_CALL = 2**20
+
+
 def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """max of the two directional disk-separation margins at each center."""
     d1 = np.abs(l1[:, np.newaxis] - t[np.newaxis, :])
@@ -243,8 +248,7 @@ def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     return np.maximum(inside1, inside2)
 
 
-def gap_delta0(lambda1, lambda2,
-               tol: Tolerances = DEFAULT_TOL) -> tuple[float, complex]:
+def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     """Best disk-separation margin over all disk centers, with its witness.
 
     Two-stage search: a dense grid over the 50%-inflated bounding box of the
@@ -273,7 +277,9 @@ def gap_delta0(lambda1, lambda2,
     ims = np.arange(im_c - half_h, im_c + half_h + 0.5 * pitch, pitch) if half_h > 0 \
         else np.array([im_c])
     grid = (res[np.newaxis, :] + 1j * ims[:, np.newaxis]).reshape(-1)
-    vals = _disk_margins(grid, l1, l2)
+    chunk = max(1, GRID_PAIRS_PER_CALL // pts.size)
+    vals = np.concatenate([_disk_margins(grid[k:k + chunk], l1, l2)
+                           for k in range(0, grid.size, chunk)])
     best = int(np.argmax(vals))
     t_best, f_best = complex(grid[best]), float(vals[best])
 

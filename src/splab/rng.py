@@ -47,23 +47,20 @@ class SplitMix64:
     def normal(self) -> float:
         return inverse_normal_cdf(self.uniform())
 
+    def _draw(self, count: int) -> np.ndarray:
+        """The next ``count`` normals of the stream, in draw order."""
+        out = np.empty(count, dtype=np.float64)
+        for k in range(count):
+            out[k] = self.normal()
+        return out
+
     def normals(self, rows: int, cols: int) -> np.ndarray:
         """Real standard-normal matrix, entries drawn row-major."""
-        out = np.empty((rows, cols), dtype=np.float64)
-        flat = out.reshape(-1)
-        for k in range(flat.size):
-            flat[k] = self.normal()
-        return out
+        return self._draw(rows * cols).reshape(rows, cols)
 
     def complex_normals(self, rows: int, cols: int) -> np.ndarray:
         """Complex matrix with independent N(0,1) real and imaginary parts."""
-        out = np.empty((rows, cols), dtype=np.complex128)
-        flat = out.reshape(-1)
-        for k in range(flat.size):
-            re = self.normal()
-            im = self.normal()
-            flat[k] = complex(re, im)
-        return out
+        return self._draw(2 * rows * cols).view(np.complex128).reshape(rows, cols)
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] via modulo reduction (documented bias

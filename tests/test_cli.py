@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from splab.cli import main
+from splab.experiments import (
+    Example11,
+    TightGeneral,
+    TightR2,
+    V2Necessity3,
+    V2NecessityN,
+    gen_example,
+)
 from splab.io import load_matrix, save_matrix
 
 
@@ -82,6 +90,61 @@ def test_numerical_failure_exits_3(tmp_path):
     assert run_cli("eig", "--input", str(jordan)) == 3
 
 
+EXAMPLE_FLAGS = {
+    "example11": (("--eps", "1e-4"),),
+    "tightr2": (("--delta", "0.1"), ("--eps", "1e-5")),
+    "tightgeneral": (("--r", "3"), ("--delta", "0.1"), ("--eps", "1e-6")),
+    "v2necessity3": (("--delta", "0.05"), ("--delta1", "0.005"), ("--eps", "1e-6")),
+    "v2necessityn": (("--n", "6"), ("--delta", "0.05"), ("--delta1", "0.005"),
+                     ("--eps", "1e-6")),
+}
+EXAMPLE_SPECS = {
+    "example11": Example11(eps=1e-4),
+    "tightr2": TightR2(delta=0.1, eps=1e-5),
+    "tightgeneral": TightGeneral(r=3, delta=0.1, eps=1e-6),
+    "v2necessity3": V2Necessity3(delta=0.05, delta1=0.005, eps=1e-6),
+    "v2necessityn": V2NecessityN(n=6, delta=0.05, delta1=0.005, eps=1e-6),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXAMPLE_FLAGS))
+def test_example_writes_each_family(tmp_path, family):
+    flags = [tok for pair in EXAMPLE_FLAGS[family] for tok in pair]
+    a_path, da_path = tmp_path / "a.json", tmp_path / "da.json"
+    code = run_cli("example", family.upper(), *flags, "--out", str(a_path),
+                   *(() if family == "example11" else ("--perturb-out", str(da_path))))
+    assert code == 0
+    a, facts = gen_example(EXAMPLE_SPECS[family])
+    assert np.array_equal(load_matrix(a_path), a)
+    if family != "example11":
+        assert np.array_equal(load_matrix(da_path), facts.perturbation)
+
+
+@pytest.mark.parametrize("family", sorted(EXAMPLE_FLAGS))
+def test_example_names_the_first_missing_flag(tmp_path, capsys, family):
+    pairs = EXAMPLE_FLAGS[family]
+    out = ("--out", str(tmp_path / "x.json"))
+    capsys.readouterr()
+    assert run_cli("example", family, *out) == 1
+    assert capsys.readouterr().err == f"splab: example family requires {pairs[0][0]}\n"
+    for k, (missing, _) in enumerate(pairs):
+        given = [tok for j, pair in enumerate(pairs) if j != k for tok in pair]
+        assert run_cli("example", family, *given, *out) == 1
+        assert capsys.readouterr().err == f"splab: example family requires {missing}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_example_and_verify_reject_unknown_names(tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli("example", "nosuch", "--eps", "1e-4",
+                   "--out", str(tmp_path / "x.json")) == 1
+    assert capsys.readouterr().err == "splab: unknown example family 'nosuch'\n"
+    assert run_cli("verify", "nosuchsuite") == 1
+    assert capsys.readouterr().err == (
+        "splab: unknown suite 'nosuchsuite'; choose from "
+        "['contour', 'dominance', 'lemma32', 'lemma33', 'scaling']\n")
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("nosuchcommand") == 1
     assert run_cli("verify", "nosuchsuite") == 1
@@ -102,6 +165,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # the dense Kronecker operator and its size cap are gone
     assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
                    "--select", "topk:2", "--tol", "size_cap=4096") == 1
+    # suite pass/filter criteria are fixed in verify, not --tol keys
+    for knob in ("quad_tol=1e-8", "suite_kappa_cap=1e6", "sigma_r_floor=1e-280"):
+        assert run_cli("verify", "contour", "--tol", knob) == 1
     # a selector that leaves one side of the split empty is an input fault
     one = tmp_path / "one.json"
     save_matrix(one, np.array([[2.0]], dtype=np.complex128))
@@ -114,6 +180,39 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     save_matrix(three, np.diag([3.0, 2.0, 1.0]).astype(np.complex128))
     assert run_cli("report", "--input", str(three), "--perturb", "unit:1,1,1e-6",
                    "--select", "topk:3") == 1
+
+
+MALFORMED_INPUTS = {
+    "negative-shape": '{"rows": -1, "cols": -1, "entries": [[1, 0]]}',
+    "object-entry": '{"rows": 1, "cols": 1, "entries": [{"re": 1, "im": 0}]}',
+    "three-element-entry": '{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}',
+    "zero-by-zero": '{"rows": 0, "cols": 0, "entries": []}',
+    "undecodable-csv": b"\xff\xfe1,2\n3,4\n",
+    "directory-input": None,
+    "directory-perturbation": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case):
+    good = tmp_path / "good.json"
+    save_matrix(good, np.diag([2.0, 1.0]).astype(np.complex128))
+    content = MALFORMED_INPUTS[case]
+    if content is None:
+        bad = tmp_path / "adir"
+        bad.mkdir()
+    else:
+        bad = tmp_path / ("bad.csv" if isinstance(content, bytes) else "bad.json")
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    if case == "directory-perturbation":
+        argv = ("report", "--input", str(good), "--perturb", f"file:{bad}",
+                "--select", "topk:1")
+    else:
+        argv = ("eig", "--input", str(bad))
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splab: ") and err.count("\n") == 1, err
 
 
 def test_report_disk_count_change_points_to_nearest_match(tmp_path, capsys):

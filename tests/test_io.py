@@ -33,10 +33,12 @@ def test_fmt17_round_trips_binary64():
 
 def test_matrix_json_round_trip(tmp_path):
     m = SplitMix64(8).complex_normals(4, 3)
+    m[0, 0] = complex(-0.0, -0.0)
     path = tmp_path / "m.json"
     save_matrix(path, m)
     back = load_matrix(path)
     assert np.array_equal(back, m)
+    assert np.signbit(back[0, 0].real) and np.signbit(back[0, 0].imag)
 
 
 def test_matrix_obj_validation():

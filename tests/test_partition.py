@@ -199,6 +199,17 @@ def test_gap_delta0_grid_oracle_and_delta1_dominance():
         achieved, witness = gap_delta0(l1, l2)
         d1 = gap_delta1(l1, l2)
         assert achieved <= d1 + 1e-12
+        # the supremum includes the centre-at-infinity limit: the widest strip
+        # separating the sets, attained along some (p - q)/|p - q| or its normal
+        pts = np.concatenate([l1, l2])
+        diffs = (pts[:, np.newaxis] - pts[np.newaxis, :])[~np.eye(pts.size, dtype=bool)]
+        dirs = np.concatenate([diffs, 1j * diffs]) / np.abs(np.concatenate([diffs, diffs]))
+        p1 = (dirs.conj()[:, np.newaxis] * l1[np.newaxis, :]).real
+        p2 = (dirs.conj()[:, np.newaxis] * l2[np.newaxis, :]).real
+        strip = float(np.max(np.maximum(p1.min(axis=1) - p2.max(axis=1),
+                                        p2.min(axis=1) - p1.max(axis=1))))
+        diam = float(np.hypot(np.ptp(pts.real), np.ptp(pts.imag)))
+        assert achieved >= strip - 1e-5 * diam
         if k % 10 == 0:
             pts = np.concatenate([l1, l2])
             res = np.linspace(pts.real.min() - 1.0, pts.real.max() + 1.0, 41)
@@ -211,6 +222,19 @@ def test_gap_delta0_grid_oracle_and_delta1_dominance():
                     m2 = min(abs(z - t) for z in l2) - max(abs(z - t) for z in l1)
                     best = max(best, m1, m2)
             assert best <= achieved + 1e-9
+
+
+def test_gap_delta0_grid_memory_is_bounded_at_large_n():
+    import tracemalloc
+    lam = np.linalg.eigvals(SplitMix64(1).complex_normals(120, 120) / np.sqrt(240.0))
+    tracemalloc.start()
+    try:
+        value, _ = gap_delta0(lam[:30], lam[30:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value <= gap_delta1(lam[:30], lam[30:])
+    assert peak < 40e6
 
 
 def test_delta_lambda_stable_under_all_unit_perturbations():
