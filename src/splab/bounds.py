@@ -203,8 +203,7 @@ def _sep_vectors(size: int):
     rest restart it."""
     gen = SplitMix64(_SEP_SEED)
     while True:
-        parts = np.array([gen.uniform() - 0.5 for _ in range(2 * size)])
-        yield parts[0::2] + 1j * parts[1::2]
+        yield (gen.uniforms(2 * size) - 0.5).view(np.complex128)
 
 
 def _orthogonalize(w, basis):

@@ -44,10 +44,13 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 def obj_to_matrix(obj: dict, name: str = "matrix") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise InvalidMatrix(f"{name}: missing rows/cols/entries: {exc}") from exc
+    # JSON integers only: int() would truncate 1.9 and accept true as 1
+    if not all(type(v) is int for v in (rows, cols)):
+        raise InvalidMatrix(f"{name}: rows and cols must be integers, "
+                            f"got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise InvalidMatrix(f"{name}: need rows and cols >= 1, got {rows}x{cols}")
     try:
@@ -92,7 +95,7 @@ def parse_csv_matrix(text: str) -> np.ndarray:
 
 def load_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     if path.suffix.lower() == ".csv" or not text.lstrip().startswith("{"):
         return parse_csv_matrix(text)
     try:

@@ -13,6 +13,17 @@ explicitly instead of delegating to numpy's (version-dependent) generators:
 
 Matrices are filled row-major from the stream; complex entries consume the
 real part first, then the imaginary part.
+
+The scalar methods (``next_u64``, ``uniform``, ``normal``, ``integer``) and
+``inverse_normal_cdf`` are the definition.  ``uniforms``, ``normals`` and
+``complex_normals`` draw whole blocks with numpy and give the same bits:
+the stream is counter-based (the k-th state is seed + k*gamma mod 2^64, and
+uint64 arithmetic wraps exactly like the 64-bit mask), and the block PPND16
+evaluates the same Horner steps in the same order.  Its tail branch still
+takes ``math.log`` element by element, because numpy's SIMD ``np.log`` is
+not correctly rounded and differs from it in the last bit on some inputs.
+After a block of ``count`` draws the state equals the state after ``count``
+scalar draws, so block and scalar draws interleave freely.
 """
 
 from __future__ import annotations
@@ -47,12 +58,29 @@ class SplitMix64:
     def normal(self) -> float:
         return inverse_normal_cdf(self.uniform())
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of the stream, as ``count`` calls of
+        ``uniform`` would give them."""
+        # every operand is an explicit np.uint64, so that no numpy version
+        # promotes a mixed Python-int/uint64 operation to float64 or int64
+        u64 = np.uint64
+        z = np.arange(1, count + 1, dtype=u64)
+        z *= u64(_GAMMA)
+        z += u64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> u64(30)
+        z *= u64(_MIX1)
+        z ^= z >> u64(27)
+        z *= u64(_MIX2)
+        z ^= z >> u64(31)
+        u = (z >> u64(11)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
+
     def _draw(self, count: int) -> np.ndarray:
         """The next ``count`` normals of the stream, in draw order."""
-        out = np.empty(count, dtype=np.float64)
-        for k in range(count):
-            out[k] = self.normal()
-        return out
+        return _inverse_normal_cdf_block(self.uniforms(count))
 
     def normals(self, rows: int, cols: int) -> np.ndarray:
         """Real standard-normal matrix, entries drawn row-major."""
@@ -99,6 +127,45 @@ def _ratpoly(coeffs_num, coeffs_den, r: float) -> float:
     for c in reversed(coeffs_den[:7]):
         den = den * r + c
     return num / den
+
+
+def _horner_block(coeffs, x: np.ndarray) -> np.ndarray:
+    """``_ratpoly``'s Horner steps for one polynomial, over an array."""
+    acc = coeffs[7] * x
+    acc += coeffs[6]
+    for c in reversed(coeffs[:6]):
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ratpoly_block(coeffs_num, coeffs_den, x: np.ndarray) -> np.ndarray:
+    out = _horner_block(coeffs_num, x)
+    out /= _horner_block(coeffs_den, x)
+    return out
+
+
+def _inverse_normal_cdf_block(p: np.ndarray) -> np.ndarray:
+    """``inverse_normal_cdf`` of each entry of ``p``, bit for bit.
+
+    The central formula runs over the whole array (its denominator stays
+    above 2e-3 on the tail too, so nothing overflows); the tail entries are
+    then overwritten.
+    """
+    q = p - 0.5
+    out = _ratpoly_block(_A, _B, 0.180625 - q * q)
+    out *= q
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    pt = p[tail]
+    neg = q[tail] < 0.0
+    r = np.sqrt(np.array([-math.log(x) for x in np.where(neg, pt, 1.0 - pt).tolist()]))
+    z = _ratpoly_block(_C, _D, r - 1.6)
+    far = r > 5.0
+    if far.any():  # p < e^-25: almost never drawn
+        z[far] = _ratpoly_block(_E, _F, r[far] - 5.0)
+    np.negative(z, out=z, where=neg)
+    out[tail] = z
+    return out
 
 
 def inverse_normal_cdf(p: float) -> float:

@@ -47,11 +47,16 @@ def _record(case_id: str, seed: int, residual: float, threshold: float) -> dict:
     }
 
 
+def _unit_square_points(g: SplitMix64, count: int) -> np.ndarray:
+    """``count`` complex points uniform in the square [-1, 1]^2, each drawn
+    real part first."""
+    return (2.0 * g.uniforms(2 * count) - 1.0).view(np.complex128)
+
+
 def _sample_spectrum(g: SplitMix64, n: int, min_gap: float = 0.1) -> np.ndarray:
     """Eigenvalues in the unit square with a guaranteed pairwise separation."""
     for _ in range(400):
-        lam = np.array([complex(2.0 * g.uniform() - 1.0, 2.0 * g.uniform() - 1.0)
-                        for _ in range(n)])
+        lam = _unit_square_points(g, n)
         diff = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
         np.fill_diagonal(diff, np.inf)
         if diff.min() >= min_gap:
@@ -106,10 +111,8 @@ def random_clustered_case(seed: int, kappa_max: float = 1e3):
     n = g.integer(3, 8)
     r = g.integer(1, min(3, n - 1))
     for _ in range(400):
-        kept = np.array([1.5 + 0.3 * complex(2 * g.uniform() - 1, 2 * g.uniform() - 1)
-                         for _ in range(r)])
-        rest = np.array([0.55 * complex(2 * g.uniform() - 1, 2 * g.uniform() - 1)
-                         for _ in range(n - r)])
+        kept = 1.5 + 0.3 * _unit_square_points(g, r)
+        rest = 0.55 * _unit_square_points(g, n - r)
         lam = np.concatenate([kept, rest])
         diff = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
         np.fill_diagonal(diff, np.inf)

@@ -184,6 +184,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 MALFORMED_INPUTS = {
     "negative-shape": '{"rows": -1, "cols": -1, "entries": [[1, 0]]}',
+    "non-integer-shape": '{"rows": 1.9, "cols": true, "entries": [[1, 0]]}',
     "object-entry": '{"rows": 1, "cols": 1, "entries": [{"re": 1, "im": 0}]}',
     "three-element-entry": '{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}',
     "zero-by-zero": '{"rows": 0, "cols": 0, "entries": []}',
@@ -213,6 +214,16 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("splab: ") and err.count("\n") == 1, err
+
+
+def test_eig_reads_json_with_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    save_matrix(plain, np.diag([2.0, 1.0]).astype(np.complex128))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = [tmp_path / "plain-eig.json", tmp_path / "bom-eig.json"]
+    for src, out in zip((plain, bom), outs):
+        assert run_cli("eig", "--input", str(src), "--out", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_report_disk_count_change_points_to_nearest_match(tmp_path, capsys):

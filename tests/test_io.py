@@ -50,6 +50,26 @@ def test_matrix_obj_validation():
         obj_to_matrix({"rows": 1, "cols": 1, "entries": [["x", 0]]})
 
 
+@pytest.mark.parametrize("rows, cols", [(1.9, 1), (1, True), (1.0, 1), ("1", 1),
+                                        (None, 1), (1, [1])],
+                         ids=["float", "bool", "integral-float", "string", "null", "list"])
+def test_matrix_obj_shape_must_be_json_integers(rows, cols):
+    with pytest.raises(InvalidMatrix, match="rows and cols must be integers"):
+        obj_to_matrix({"rows": rows, "cols": cols, "entries": [[1, 0]]})
+
+
+def test_load_matrix_ignores_a_utf8_byte_order_mark(tmp_path):
+    texts = {"m.json": '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, -2.5]]}\n',
+             "m.csv": "1, -2.5i\n"}
+    for name, text in texts.items():
+        plain, bom = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert np.array_equal(load_matrix(bom), load_matrix(plain))
+        assert np.array_equal(load_matrix(plain), np.array([[1, -2.5j]]))
+
+
 def test_csv_matrix_parsing():
     m = parse_csv_matrix("1+2i, 3\n-1i, 2.5-0.5i\n")
     expected = np.array([[1 + 2j, 3], [-1j, 2.5 - 0.5j]], dtype=np.complex128)
