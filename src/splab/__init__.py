@@ -11,7 +11,6 @@ from .angles import SubspaceDistance, orth_complement, principal_angles, sin_the
 from .bounds import (
     Analysis,
     BoundReport,
-    GapReport,
     analyze,
     classical_bound,
     full_report,

@@ -41,23 +41,22 @@ from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
-class GapReport:
+class BoundReport:
+    """Everything needed to audit both bounds for one (A, dA, selector) run.
+
+    The fields are the report format: ``io.report_to_obj`` writes one key per
+    field, named after it and in this order.
+    """
+
     delta0: float
     delta1: float
     delta_lambda: float
     t0_star: complex
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything needed to audit both bounds for one (A, dA, selector) run."""
-
-    gap: GapReport
     a: float
-    kappa_x1: float
-    kappa_v2: float
-    da_spec: float
-    da_frob: float
+    kappa_X1: float
+    kappa_V2: float
+    dA_spec: float
+    dA_frob: float
     classical_value: float
     classical_valid: bool
     new_value_perj: float
@@ -144,7 +143,7 @@ class Analysis:
 
     @functools.cached_property
     def measured_sin(self) -> float:
-        return sin_theta_norm(self.part.qr_x1.q, self.part_tilde.qr_x1.q, self.tol)
+        return sin_theta_norm(self.part.qr_x1.q, self.part_tilde.qr_x1.q)
 
 
 def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None,
@@ -293,13 +292,15 @@ def full_report(a_mat, da, selector: Selector,
     sep_frob = sep_frobenius(l1_block, l2_block)
     measured = run.measured_sin
     return BoundReport(
-        gap=GapReport(delta0=delta0, delta1=delta1,
-                      delta_lambda=run.delta_lambda, t0_star=t0_star),
+        delta0=delta0,
+        delta1=delta1,
+        delta_lambda=run.delta_lambda,
+        t0_star=t0_star,
         a=run.a_scale,
-        kappa_x1=part.qr_x1.kappa,
-        kappa_v2=part.qr_v2.kappa,
-        da_spec=da_spec,
-        da_frob=da_frob,
+        kappa_X1=part.qr_x1.kappa,
+        kappa_V2=part.qr_v2.kappa,
+        dA_spec=da_spec,
+        dA_frob=da_frob,
         classical_value=classical_value,
         classical_valid=classical_valid,
         new_value_perj=perj,

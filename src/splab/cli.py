@@ -2,8 +2,13 @@
 
 Commands: eig, report, verify, example, sweep.  Exit codes are a stable
 contract: 0 success, 1 usage, parse or selector failure (including a selector
-that leaves one side of the split empty), 2 an assumption flag fired
-(the report is still written), 3 numerical failure.
+that leaves one side of the split empty or puts an eigenvalue on a disk
+boundary), 2 an assumption flag fired (the report is still written),
+3 numerical failure.
+
+``--tol KEY=VAL`` sets one of the six ``Tolerances`` fields.  ``sweep --format``
+applies to table1 and tightness (CSV by default); v2necessity and special
+write JSON only, and refuse an explicit ``--format csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from . import experiments, io, verify
 from .bounds import full_report
 from .config import DEFAULT_TOL, Tolerances
-from .errors import EmptySide, IndexOutOfRange, InvalidMatrix, SpecViolation, SplabError
+from .errors import (BoundaryAmbiguity, EmptySide, IndexOutOfRange, InvalidMatrix,
+                     SpecViolation, SplabError)
 from .linalg import eig
 from .partition import NearestAssignment, SameSelector, parse_selector
 
@@ -94,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--eps", type=float, default=1e-6)
     p_sw.add_argument("--n", type=int, default=None)
     p_sw.add_argument("--eps1", type=float, default=1e-6)
-    p_sw.add_argument("--format", choices=["json", "csv"], default="csv")
+    p_sw.add_argument("--format", choices=["json", "csv"], default=None)
     p_sw.add_argument("--out", default=None)
     p_sw.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
     return parser
@@ -227,6 +233,8 @@ def _cmd_sweep(args) -> int:
     tol = _resolve_tol(args.tol)
     seed = _resolve_seed(args.seed)
     family = args.family.lower()
+    if family in ("v2necessity", "special") and args.format == "csv":
+        raise _UsageError(f"sweep {family} writes JSON only; --format csv does not apply")
     if family == "table1":
         eps_list = _float_list(args.eps_list, "--eps-list")
         result = experiments.run_table1_sweep(eps_list, args.norm, seed, tol=tol)
@@ -269,7 +277,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
     except (InvalidMatrix, SpecViolation, IndexOutOfRange, EmptySide,
-            OSError, UnicodeDecodeError) as exc:
+            BoundaryAmbiguity, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
     except SplabError as exc:

@@ -1,9 +1,11 @@
 """Centralized numerical tolerances.
 
-One frozen record so that each class of test has a single knob. CLI ``--tol``
-overrides produce a modified copy; library defaults never mutate.  The
-verification suites' pass and filter criteria are not tolerances: they are
-constants in ``verify``.
+One frozen record of the cut-offs and bands that judge the input.  CLI
+``--tol`` overrides produce a modified copy; library defaults never mutate.
+Thresholds that a looser value could only let a failed computation pass are
+constants beside their checks: the self-checks on the program's own
+arithmetic (``linalg.EIG_TOL``, ``angles.ORTH_TOL``, ``angles.CROSS_TOL``)
+and the verification suites' pass and filter criteria (in ``verify``).
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    tol_eig: float = 1e-10        # eigen residual, relative to ||A||
-    tol_orth: float = 1e-12       # orthonormality defect, scaled by column count
     rank_tol: float = 1e-13       # sigma_min/sigma_max below this: rank deficient
     kappa_cap: float = 1e13       # eigenvector basis condition beyond this: not diagonalizable
-    cross_tol: float = 1e-10      # agreement between equivalent sin-theta formulas
     disk_tol: float = 1e-9        # disk-selector boundary band, scaled by radius
     assign_tol: float = 1e-12     # assignment ambiguity, scaled by spectral scale
     contour_margin: float = 0.05  # eigenvalue clearance from the circle, scaled by radius

@@ -270,11 +270,11 @@ def _report_row(a, da, selector, param: float, seed: int,
         "classical": rep.classical_value,
         "new_perj": rep.new_value_perj,
         "new_dl": rep.new_value_dl,
-        "delta0": rep.gap.delta0,
-        "delta1": rep.gap.delta1,
-        "delta_lambda": rep.gap.delta_lambda,
-        "kappa_X1": rep.kappa_x1,
-        "kappa_V2": rep.kappa_v2,
+        "delta0": rep.delta0,
+        "delta1": rep.delta1,
+        "delta_lambda": rep.delta_lambda,
+        "kappa_X1": rep.kappa_X1,
+        "kappa_V2": rep.kappa_V2,
         "seed": int(seed),
     }
 
@@ -339,7 +339,7 @@ def run_v2_necessity(delta: float, delta1: float, eps: float, n: int | None = No
         else V2NecessityN(n, delta, delta1, eps)
     a, facts = gen_example(spec)
     rep = full_report(a, facts.perturbation, facts.selector, tol=tol)
-    reduced = rep.new_value_perj / rep.kappa_v2
+    reduced = rep.new_value_perj / rep.kappa_V2
     strict_regime = delta1 <= delta / 10.0
     return {
         "family": facts.family,
@@ -349,7 +349,7 @@ def run_v2_necessity(delta: float, delta1: float, eps: float, n: int | None = No
         "measured_sin": rep.measured_sin,
         "new_perj": rep.new_value_perj,
         "new_dl": rep.new_value_dl,
-        "kappa_V2": rep.kappa_v2,
+        "kappa_V2": rep.kappa_V2,
         "bound_over_kappa_v2": reduced,
         "witness_sin_leading": facts.witness_sin_leading,
         "measured_le_bound": bool(rep.measured_sin <= rep.new_value_perj),

@@ -2,12 +2,15 @@
 
 Matrix files are JSON objects {"rows": n, "cols": m, "entries": [[re, im],
 ...]} in row-major order; CSV input with cells like "1.5+0.5i" is accepted,
-writers emit JSON only.  Report scalars serialize as decimal strings with 17
-significant digits (lossless for binary64), infinities as "inf".
+writers emit JSON only.  Report, record and sweep values follow one rule: a
+float becomes a decimal string with 17 significant digits (lossless for
+binary64; infinities as "inf"), a complex an [re, im] pair of such strings,
+and anything else passes through.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,16 +24,16 @@ from .linalg import EigenDecomposition, as_matrix
 
 def fmt17(x: float) -> str:
     """Decimal string with 17 significant digits; round-trips binary64."""
-    x = float(x)
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # also "inf", "-inf" and "nan"
 
 
-def complex_pair(z: complex) -> list[str]:
-    return [fmt17(z.real), fmt17(z.imag)]
+def _value(v):
+    """The serialization rule for report, record and sweep values."""
+    if isinstance(v, float):
+        return fmt17(v)
+    if isinstance(v, complex):
+        return [fmt17(v.real), fmt17(v.imag)]
+    return v
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -119,35 +122,12 @@ def eig_to_obj(ed: EigenDecomposition) -> dict:
 
 
 def report_to_obj(report: BoundReport) -> dict:
-    """Flat JSON object; reals as 17-significant-digit decimal strings."""
-    return {
-        "delta0": fmt17(report.gap.delta0),
-        "delta1": fmt17(report.gap.delta1),
-        "delta_lambda": fmt17(report.gap.delta_lambda),
-        "t0_star": complex_pair(report.gap.t0_star),
-        "a": fmt17(report.a),
-        "kappa_X1": fmt17(report.kappa_x1),
-        "kappa_V2": fmt17(report.kappa_v2),
-        "dA_spec": fmt17(report.da_spec),
-        "dA_frob": fmt17(report.da_frob),
-        "classical_value": fmt17(report.classical_value),
-        "classical_valid": report.classical_valid,
-        "new_value_perj": fmt17(report.new_value_perj),
-        "new_value_dl": fmt17(report.new_value_dl),
-        "sep_frob": fmt17(report.sep_frob),
-        "sep_lower": fmt17(report.sep_lower),
-        "stewart_condition_ok": report.stewart_condition_ok,
-        "measured_sin": fmt17(report.measured_sin),
-        "gap_ok": report.gap_ok,
-        "dominance_ok": report.dominance_ok,
-        "match_strategy": report.match_strategy,
-    }
+    """Flat JSON object with one key per report field, in field order."""
+    return {f.name: _value(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
+    return str(_value(value))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -160,18 +140,14 @@ def sweep_to_csv(result: SweepResult) -> str:
 def sweep_to_json(result: SweepResult) -> str:
     obj = {
         "columns": list(result.columns),
-        "rows": [{c: (fmt17(row[c]) if isinstance(row[c], float) else row[c])
-                  for c in result.columns} for row in result.rows],
+        "rows": [{c: _value(row[c]) for c in result.columns} for row in result.rows],
         "notes": list(result.notes),
     }
     if result.summary:
-        obj["summary"] = {k: fmt17(v) for k, v in result.summary}
+        obj["summary"] = {k: _value(v) for k, v in result.summary}
     return json.dumps(obj, indent=2) + "\n"
 
 
 def records_to_json(records: list[dict]) -> str:
-    out = []
-    for rec in records:
-        out.append({k: (fmt17(v) if isinstance(v, float) else v)
-                    for k, v in rec.items()})
+    out = [{k: _value(v) for k, v in rec.items()} for rec in records]
     return json.dumps(out, indent=2) + "\n"

@@ -127,6 +127,10 @@ def qr_decompose(z, tol: Tolerances = DEFAULT_TOL) -> QRFactors:
 # the name stays because the benchmark's tracer (bench/tracer.py) wraps it.
 kron = np.kron
 
+# self-check on eig's own arithmetic, so a constant rather than a --tol key: the
+# residual relative to ||A||_2 and the dual-basis defect relative to max(kappa2(X), 1)
+EIG_TOL = 1e-10
+
 
 def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition with deterministic ordering and phase convention.
@@ -158,9 +162,9 @@ def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     v = np.linalg.inv(x).conj().T
     a_norm = float(np.linalg.norm(a, 2))
     resid = float(np.linalg.norm(a @ x - x * w[np.newaxis, :], 2))
-    if a_norm > 0 and resid > tol.tol_eig * a_norm:
-        raise ConvergenceFailure(f"eig: residual {resid:.3e} exceeds {tol.tol_eig:.1e}*||A||")
+    if a_norm > 0 and resid > EIG_TOL * a_norm:
+        raise ConvergenceFailure(f"eig: residual {resid:.3e} exceeds {EIG_TOL:.1e}*||A||")
     dual = float(np.linalg.norm(v.conj().T @ x - np.eye(n), 2))
-    if dual > tol.tol_eig * max(kappa, 1.0):
+    if dual > EIG_TOL * max(kappa, 1.0):
         raise ConvergenceFailure(f"eig: dual-basis defect {dual:.3e} too large")
     return EigenDecomposition(x=x, lam=w, v=v, kappa_x=kappa, a_norm=a_norm)

@@ -250,17 +250,16 @@ def residue_coupling_matrix(ctx: OracleContext) -> np.ndarray:
     return ctx.hadamard
 
 
-def contour_coupling_matrix(ctx: OracleContext, contour: Contour | None = None,
-                            nodes: int = 256,
+def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256,
                             tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Same block as ``residue_coupling_matrix`` but via trapezoid quadrature
-    of the diagonal-resolvent contour integral; independent numerical route."""
+    of the diagonal-resolvent contour integral over the ``enclosing_circle``
+    of both kept spectra; independent numerical route."""
     inside = np.concatenate([ctx.part.lambda1, ctx.part_tilde.lambda1])
     outside = np.concatenate([ctx.part.lambda2, ctx.part_tilde.lambda2])
     if np.min(np.abs(inside[:, np.newaxis] - outside[np.newaxis, :])) == 0.0:
         raise GapViolated("contour_coupling_matrix: kept and complement spectra meet")
-    if contour is None:
-        contour = enclosing_circle(inside, outside, nodes, tol)
+    contour = enclosing_circle(inside, outside, nodes, tol)
     everything = np.concatenate([inside, outside])
     _check_nodes(everything, contour, tol)
     in_mask, _ = _classify_by_contour(everything, contour, tol)

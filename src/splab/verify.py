@@ -36,6 +36,9 @@ QUAD_TOL = 1e-8          # residue-vs-quadrature agreement
 SUITE_KAPPA_CAP = 1e6    # identity-suite filter on kappa2(R_V2)*kappa2(R_X1t)
 SIGMA_R_FLOOR = 1e-280   # skip cases whose charpoly constant term underflows
 
+SAMPLE_MIN_GAP = 0.1     # pairwise eigenvalue separation of a sampled spectrum
+SAMPLE_KAPPA_MAX = 1e3   # largest kappa2(X) of a sampled eigenvector basis
+
 
 def _record(case_id: str, seed: int, residual: float, threshold: float) -> dict:
     return {
@@ -53,35 +56,33 @@ def _unit_square_points(g: SplitMix64, count: int) -> np.ndarray:
     return (2.0 * g.uniforms(2 * count) - 1.0).view(np.complex128)
 
 
-def _sample_spectrum(g: SplitMix64, n: int, min_gap: float = 0.1) -> np.ndarray:
-    """Eigenvalues in the unit square with a guaranteed pairwise separation."""
+def _sample_spectrum(g: SplitMix64, n: int) -> np.ndarray:
+    """Eigenvalues in the unit square, pairwise at least SAMPLE_MIN_GAP apart."""
     for _ in range(400):
         lam = _unit_square_points(g, n)
         diff = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
         np.fill_diagonal(diff, np.inf)
-        if diff.min() >= min_gap:
+        if diff.min() >= SAMPLE_MIN_GAP:
             return lam
-    raise SpecViolation("spectrum sampling failed; min_gap too large")
+    raise SpecViolation("spectrum sampling failed")
 
 
-def _sample_matrix(g: SplitMix64, lam: np.ndarray,
-                   kappa_max: float) -> tuple[np.ndarray, float]:
+def _sample_matrix(g: SplitMix64, lam: np.ndarray) -> tuple[np.ndarray, float]:
     """A = X diag(lam) X^{-1} for a random unit-column basis X with
-    kappa2(X) <= kappa_max; returns (A, kappa2(X))."""
+    kappa2(X) <= SAMPLE_KAPPA_MAX; returns (A, kappa2(X))."""
     n = lam.shape[0]
     for _ in range(200):
         x = g.complex_normals(n, n)
         x = x / np.linalg.norm(x, axis=0)[np.newaxis, :]
         s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= kappa_max:
+        if s[-1] > 0 and s[0] / s[-1] <= SAMPLE_KAPPA_MAX:
             break
     else:
         raise SpecViolation("eigenvector basis sampling failed")
     return x @ np.diag(lam) @ np.linalg.inv(x), float(s[0] / s[-1])
 
 
-def random_diagonalizable_case(seed: int, kappa_max: float = 1e3,
-                               da_divisor: float = 100.0):
+def random_diagonalizable_case(seed: int, da_divisor: float = 100.0):
     """One seeded case: diagonalizable A, a kept-block size r, and a dense
     perturbation scaled so the post-perturbation gap provably dominates.
 
@@ -94,7 +95,7 @@ def random_diagonalizable_case(seed: int, kappa_max: float = 1e3,
     n = g.integer(3, 10)
     r = g.integer(1, min(4, n - 1))
     lam = _sample_spectrum(g, n)
-    a, kappa = _sample_matrix(g, lam, kappa_max)
+    a, kappa = _sample_matrix(g, lam)
     lam_sorted = lam[np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))]
     delta1 = float(np.min(np.abs(lam_sorted[:r, np.newaxis]
                                  - lam_sorted[np.newaxis, r:])))
@@ -103,7 +104,7 @@ def random_diagonalizable_case(seed: int, kappa_max: float = 1e3,
     return a, da, r
 
 
-def random_clustered_case(seed: int, kappa_max: float = 1e3):
+def random_clustered_case(seed: int):
     """Like ``random_diagonalizable_case`` but with the kept eigenvalues
     clustered away from the rest, so a separating circle exists (the
     enclosure assumption of the contour machinery)."""
@@ -120,7 +121,7 @@ def random_clustered_case(seed: int, kappa_max: float = 1e3):
             break
     else:
         raise SpecViolation("clustered spectrum sampling failed")
-    a, kappa = _sample_matrix(g, lam, kappa_max)
+    a, kappa = _sample_matrix(g, lam)
     direction = g.complex_normals(n, n)
     da = direction * (0.05 / (100.0 * kappa) / np.linalg.norm(direction, 2))
     return a, da, r

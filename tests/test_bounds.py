@@ -302,9 +302,9 @@ def test_full_report_example11_matches_reference_columns():
     assert rep.classical_value == pytest.approx(4.00e-3, rel=0.02)
     assert 1e-7 <= rep.measured_sin <= 1e-5
     assert rep.measured_sin <= rep.new_value_perj <= rep.new_value_dl * (1 + 1e-12)
-    assert rep.kappa_v2 == pytest.approx(1.0, abs=1e-10)
-    assert rep.kappa_x1 == pytest.approx(1e3, rel=1e-6)
-    assert rep.gap.delta0 <= rep.gap.delta1 + 1e-15
+    assert rep.kappa_V2 == pytest.approx(1.0, abs=1e-10)
+    assert rep.kappa_X1 == pytest.approx(1e3, rel=1e-6)
+    assert rep.delta0 <= rep.delta1 + 1e-15
 
 
 def test_full_report_tight_family_magnitude():
@@ -329,11 +329,11 @@ def test_full_report_dominance_smoke():
             part_t = match_partition(eig(a + da), part, match)
             assert (rep.new_value_perj, rep.new_value_dl) == new_bound(a, da, part, part_t)
             assert (rep.classical_value, rep.classical_valid) == \
-                classical_bound(part, rep.da_spec, rep.gap.delta0)
-            assert rep.kappa_x1 == cond2(part.x1)
-            assert rep.kappa_v2 == cond2(part.v2)
+                classical_bound(part, rep.dA_spec, rep.delta0)
+            assert rep.kappa_X1 == cond2(part.x1)
+            assert rep.kappa_V2 == cond2(part.v2)
             assert rep.measured_sin == sin_theta_norm(part.qr_x1.q, part_t.qr_x1.q)
-            assert rep.a == eig(a).a_norm + rep.da_spec + np.max(np.abs(part.lambda2))
+            assert rep.a == eig(a).a_norm + rep.dA_spec + np.max(np.abs(part.lambda2))
 
 
 def test_full_report_beyond_the_old_kronecker_size_cap():

@@ -165,9 +165,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # the dense Kronecker operator and its size cap are gone
     assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
                    "--select", "topk:2", "--tol", "size_cap=4096") == 1
-    # suite pass/filter criteria are fixed in verify, not --tol keys
-    for knob in ("quad_tol=1e-8", "suite_kappa_cap=1e6", "sigma_r_floor=1e-280"):
+    # suite pass/filter criteria are fixed in verify, and the self-checks on
+    # the program's own arithmetic beside their checks; neither is a --tol key
+    for knob in ("quad_tol=1e-8", "suite_kappa_cap=1e6", "sigma_r_floor=1e-280",
+                 "tol_eig=1e-8", "tol_orth=1e-12", "cross_tol=1e-10"):
         assert run_cli("verify", "contour", "--tol", knob) == 1
+    # the JSON-only sweeps refuse an explicit --format csv
+    for family in ("special", "v2necessity"):
+        capsys.readouterr()
+        assert run_cli("sweep", family, "--format", "csv",
+                       "--out", str(tmp_path / f"{family}.csv")) == 1
+        assert capsys.readouterr().err == (
+            f"splab: sweep {family} writes JSON only; --format csv does not apply\n")
+        assert not (tmp_path / f"{family}.csv").exists()
     # a selector that leaves one side of the split empty is an input fault
     one = tmp_path / "one.json"
     save_matrix(one, np.array([[2.0]], dtype=np.complex128))
@@ -180,6 +190,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     save_matrix(three, np.diag([3.0, 2.0, 1.0]).astype(np.complex128))
     assert run_cli("report", "--input", str(three), "--perturb", "unit:1,1,1e-6",
                    "--select", "topk:3") == 1
+    # so is a disk selector that the input puts an eigenvalue on the boundary of
+    half = tmp_path / "half.json"
+    save_matrix(half, np.diag([1.0, 0.5, 0.2]).astype(np.complex128))
+    capsys.readouterr()
+    assert run_cli("report", "--input", str(half), "--perturb", "unit:1,1,1e-6",
+                   "--select", "disk:0+0i:0.5:inside") == 1
+    assert capsys.readouterr().err == (
+        "splab: disk: eigenvalue index 1 within 5.0e-10 of the boundary\n")
 
 
 MALFORMED_INPUTS = {
@@ -317,7 +335,7 @@ def test_tol_overrides_are_applied(tmp_path):
     # kappa2(X) ~ 100 here, so a cap of 10 must reject the decomposition
     assert run_cli("eig", "--input", str(a_path), "--tol", "kappa_cap=10") == 3
     assert run_cli("eig", "--input", str(a_path), "--tol", "kappa_cap=1e6",
-                   "--tol", "tol_eig=1e-8", "--out", str(tmp_path / "e.json")) == 0
+                   "--out", str(tmp_path / "e.json")) == 0
     assert run_cli("eig", "--input", str(a_path), "--tol", "nonsense=1") == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -99,18 +100,40 @@ def test_report_serialization_schema():
     da = gen_gaussian_perturbation(3, 1e-6, 42)
     rep = full_report(a, da, TopKMagnitude(2))
     obj = report_to_obj(rep)
-    expected_keys = {
+    expected_keys = [
         "delta0", "delta1", "delta_lambda", "t0_star", "a", "kappa_X1",
         "kappa_V2", "dA_spec", "dA_frob", "classical_value", "classical_valid",
         "new_value_perj", "new_value_dl", "sep_frob", "sep_lower",
         "stewart_condition_ok", "measured_sin", "gap_ok", "dominance_ok",
         "match_strategy",
-    }
-    assert set(obj) == expected_keys
+    ]
+    assert list(obj) == expected_keys
     assert isinstance(obj["classical_valid"], bool)
     assert float(obj["measured_sin"]) == rep.measured_sin
     text = json.dumps(obj)
     assert json.loads(text) == obj
+
+
+REPORT_CASES = {
+    "example11": (gen_example(Example11(1e-4))[0], gen_gaussian_perturbation(3, 1e-6, 42), 2),
+    "zero-perturbation": (gen_example(Example11(1e-4))[0], np.zeros((3, 3)), 2),
+    "gap-violated": (np.diag([2.0, 1.0]), np.diag([-1.0, 0.0]), 1),
+    "one-point-spectrum": (np.eye(2), np.zeros((2, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_fields_hold_exactly_their_declared_kinds(case):
+    # report_to_obj picks the format from each value's type, so a float field
+    # that held an int would be written as a bare JSON number, not a string
+    a, da, k = REPORT_CASES[case]
+    rep = full_report(a, da, TopKMagnitude(k))
+    kinds = {"float": float, "complex": complex, "bool": bool, "str": str}
+    for f in dataclasses.fields(rep):
+        assert type(getattr(rep, f.name)) is kinds[f.type], f.name
+    obj = report_to_obj(rep)
+    assert all(isinstance(v, (str, bool, list)) for v in obj.values())
+    assert obj["t0_star"] == [fmt17(rep.t0_star.real), fmt17(rep.t0_star.imag)]
 
 
 def test_sweep_serialization_golden_shape():
