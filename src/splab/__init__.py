@@ -7,7 +7,7 @@ side, verifies the exact identities behind the product bound, and ships the
 worked example families plus sweep harnesses used by the acceptance suite.
 """
 
-from .angles import SubspaceDistance, orth_complement, principal_angles, sin_theta_norm, tan_theta_norm
+from .angles import SubspaceDistance, orth_complement, principal_angles, sin_theta_norm
 from .bounds import (
     Analysis,
     BoundReport,
@@ -19,7 +19,6 @@ from .bounds import (
     sep_lower_bound,
     stewart_condition,
 )
-from .config import DEFAULT_TOL, Tolerances
 from .linalg import (
     EigenDecomposition,
     QRFactors,

@@ -31,7 +31,7 @@ class SubspaceDistance:
     tan_norm: float
 
 
-# self-checks on this module's own arithmetic, so constants rather than --tol keys
+# self-checks on this module's own arithmetic
 ORTH_TOL = 1e-12   # orthonormality defect of a Q factor, scaled by its size
 CROSS_TOL = 1e-10  # agreement of the equivalent sin-theta routes
 
@@ -117,9 +117,3 @@ def sin_theta_norm(q1, q2) -> float:
         raise CrossCheckFailure(
             f"sin_theta_norm: sigma_min route {sq_alt:.3e} vs {value * value:.3e}")
     return value
-
-
-def tan_theta_norm(q1, q2) -> float:
-    """Largest principal-angle tangent; +inf when the subspaces share no
-    direction with positive cosine."""
-    return principal_angles(q1, q2).tan_norm

@@ -24,7 +24,6 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrsyl
 
 from .angles import sin_theta_norm
-from .config import DEFAULT_TOL, Tolerances
 from .errors import GapViolated, ShapeMismatch
 from .linalg import _square, as_matrix, eig, norms
 from .partition import (
@@ -102,14 +101,13 @@ class Analysis:
     part_tilde: SpectralPartition
     match: MatchStrategy
     a_norm: float
-    tol: Tolerances
 
     def perturb(self, da) -> Analysis:
         """The analysis of A + ``da``: reruns only eig(A + dA) and the match."""
         da = as_matrix(da, "dA")
         if self.a.shape != da.shape:
             raise ShapeMismatch(f"analyze: A is {self.a.shape} but dA is {da.shape}")
-        part_t = match_partition(eig(self.a + da, self.tol), self.part, self.match, self.tol)
+        part_t = match_partition(eig(self.a + da), self.part, self.match)
         if part_t.r != self.part.r:
             raise ShapeMismatch(f"match(A+dA): block sizes differ (A+dA keeps {part_t.r}, "
                                 f"A keeps {self.part.r}); try --match nearest")
@@ -146,17 +144,16 @@ class Analysis:
         return sin_theta_norm(self.part.qr_x1.q, self.part_tilde.qr_x1.q)
 
 
-def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None,
-            tol: Tolerances = DEFAULT_TOL) -> Analysis:
+def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None) -> Analysis:
     """eig(A) and its partition, then ``perturb`` of the dA = 0 analysis (whose
     matched partition is A's own) by ``da``.  ``match`` defaults to
     reapplying ``selector`` to the perturbed spectrum."""
     a_mat = as_matrix(a_mat, "A")
-    ed = eig(a_mat, tol)
-    part = partition(ed, selector, tol)
+    ed = eig(a_mat)
+    part = partition(ed, selector)
     return Analysis(a=a_mat, da=np.zeros_like(a_mat), part=part, part_tilde=part,
-                    match=match or SameSelector(selector), a_norm=ed.a_norm,
-                    tol=tol).perturb(da)
+                    match=match or SameSelector(selector),
+                    a_norm=ed.a_norm).perturb(da)
 
 
 def new_bound(a_mat, da, part: SpectralPartition,
@@ -270,14 +267,13 @@ def stewart_condition(da_spec: float, a_spec: float, sep_value: float) -> bool:
 
 
 def full_report(a_mat, da, selector: Selector,
-                match: MatchStrategy | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+                match: MatchStrategy | None = None) -> BoundReport:
     """Run the whole pipeline on (A, dA, selector) and assemble a report.
 
     A zero post-perturbation gap does not raise here: the bounds become +inf
     and ``gap_ok`` is cleared, so callers can still serialize the report.
     """
-    run = analyze(a_mat, da, selector, match, tol)
+    run = analyze(a_mat, da, selector, match)
     part = run.part
     delta1 = gap_delta1(part.lambda1, part.lambda2)
     delta0, t0_star = gap_delta0(part.lambda1, part.lambda2)

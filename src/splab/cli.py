@@ -6,9 +6,12 @@ that leaves one side of the split empty or puts an eigenvalue on a disk
 boundary), 2 an assumption flag fired (the report is still written),
 3 numerical failure.
 
-``--tol KEY=VAL`` sets one of the six ``Tolerances`` fields.  ``sweep --format``
-applies to table1 and tightness (CSV by default); v2necessity and special
-write JSON only, and refuse an explicit ``--format csv``.
+Every numerical threshold is a constant beside the check that reads it
+(``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
+what counts as a valid input and a run is reproduced by its command line.
+``sweep --format`` applies to table1 and tightness (CSV by default);
+v2necessity and special write JSON only, and refuse an explicit
+``--format csv``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import experiments, io, verify
 from .bounds import full_report
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (BoundaryAmbiguity, EmptySide, IndexOutOfRange, InvalidMatrix,
                      SpecViolation, SplabError)
 from .linalg import eig
@@ -57,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eig", help="eigendecomposition of a matrix file")
     p_eig.add_argument("--input", required=True)
     p_eig.add_argument("--out", default=None)
-    p_eig.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_rep = sub.add_parser("report", help="full bound report for (A, dA, selector)")
     p_rep.add_argument("--input", required=True)
@@ -67,14 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--match", choices=["same", "nearest"], default="same")
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", help=" | ".join(verify.SUITES))
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--cases", type=int, default=None)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_ex = sub.add_parser("example", help="generate a worked example matrix")
     p_ex.add_argument("family", help=" | ".join(experiments.FAMILIES))
@@ -102,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--eps1", type=float, default=1e-6)
     p_sw.add_argument("--format", choices=["json", "csv"], default=None)
     p_sw.add_argument("--out", default=None)
-    p_sw.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
     return parser
 
 
@@ -116,19 +114,6 @@ def _resolve_seed(seed: int | None) -> int:
         except ValueError as exc:
             raise _UsageError(f"SPLAB_SEED must be an integer, got {env!r}") from exc
     return DEFAULT_SEED
-
-
-def _resolve_tol(pairs: list[str]) -> Tolerances:
-    updates = {}
-    for item in pairs:
-        if "=" not in item:
-            raise _UsageError(f"--tol expects KEY=VAL, got {item!r}")
-        key, val = item.split("=", 1)
-        updates[key.strip()] = val.strip()
-    try:
-        return DEFAULT_TOL.override(**updates)
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(f"bad --tol override: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,20 +145,18 @@ def _parse_perturbation(spec: str, n: int, seed: int) -> np.ndarray:
 
 
 def _cmd_eig(args) -> int:
-    tol = _resolve_tol(args.tol)
-    ed = eig(io.load_matrix(args.input), tol)
+    ed = eig(io.load_matrix(args.input))
     _emit(json.dumps(io.eig_to_obj(ed), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    tol = _resolve_tol(args.tol)
     seed = _resolve_seed(args.seed)
     a = io.load_matrix(args.input)
     selector = parse_selector(args.select)
     da = _parse_perturbation(args.perturb, a.shape[0], seed)
     match = SameSelector(selector) if args.match == "same" else NearestAssignment()
-    report = full_report(a, da, selector, match=match, tol=tol)
+    report = full_report(a, da, selector, match=match)
     _emit(json.dumps(io.report_to_obj(report), indent=2) + "\n", args.out)
     if not (report.classical_valid and report.gap_ok and report.dominance_ok):
         return EXIT_ASSUMPTION
@@ -181,10 +164,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _resolve_tol(args.tol)
     if args.cases is not None and args.cases < 1:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
-    records = verify.run_suite(args.suite, _resolve_seed(args.seed), args.cases, tol)
+    records = verify.run_suite(args.suite, _resolve_seed(args.seed), args.cases)
     _emit(io.records_to_json(records), args.out)
     failed = [rec for rec in records if not rec["pass"]]
     if failed:
@@ -230,21 +212,18 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    tol = _resolve_tol(args.tol)
     seed = _resolve_seed(args.seed)
     family = args.family.lower()
     if family in ("v2necessity", "special") and args.format == "csv":
         raise _UsageError(f"sweep {family} writes JSON only; --format csv does not apply")
     if family == "table1":
         eps_list = _float_list(args.eps_list, "--eps-list")
-        result = experiments.run_table1_sweep(eps_list, args.norm, seed, tol=tol)
+        result = experiments.run_table1_sweep(eps_list, args.norm, seed)
     elif family == "tightness":
         deltas = _float_list(args.delta_list, "--delta-list")
-        result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule,
-                                                 seed, tol=tol)
+        result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule, seed)
     elif family == "v2necessity":
-        record = experiments.run_v2_necessity(args.delta, args.delta1, args.eps,
-                                              n=args.n, tol=tol)
+        record = experiments.run_v2_necessity(args.delta, args.delta1, args.eps, n=args.n)
         _emit(io.records_to_json([record]), args.out)
         return EXIT_OK
     elif family == "special":

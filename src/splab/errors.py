@@ -62,10 +62,6 @@ class EnclosureViolated(SplabError):
     """A contour does not cleanly separate the two spectral sets."""
 
 
-class ResolventSingular(SplabError):
-    """A quadrature node is too close to an eigenvalue."""
-
-
 class SpecViolation(SplabError):
     """Example-family parameters violate their validity guards."""
 

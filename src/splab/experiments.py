@@ -16,7 +16,6 @@ from typing import Union
 import numpy as np
 
 from .bounds import full_report
-from .config import DEFAULT_TOL, Tolerances
 from .errors import IndexOutOfRange, SpecViolation
 from .oracles import brute_force_sin_theta
 from .partition import TopKMagnitude
@@ -261,9 +260,8 @@ class SweepResult:
     summary: tuple[tuple[str, float], ...] = ()
 
 
-def _report_row(a, da, selector, param: float, seed: int,
-                tol: Tolerances) -> dict:
-    rep = full_report(a, da, selector, tol=tol)
+def _report_row(a, da, selector, param: float, seed: int) -> dict:
+    rep = full_report(a, da, selector)
     return {
         "param": float(param),
         "measured_sin": rep.measured_sin,
@@ -279,13 +277,12 @@ def _report_row(a, da, selector, param: float, seed: int,
     }
 
 
-def run_table1_sweep(eps_list, da_norm: float, seed: int,
-                     tol: Tolerances = DEFAULT_TOL) -> SweepResult:
+def run_table1_sweep(eps_list, da_norm: float, seed: int) -> SweepResult:
     """Comparison-table sweep: one shared Gaussian perturbation across the
     whole eps grid, measured distance versus both bounds per grid point."""
     eps_values = [float(e) for e in eps_list]
     da = gen_gaussian_perturbation(3, da_norm, seed)
-    rows = [_report_row(gen_example(Example11(eps))[0], da, TopKMagnitude(2), eps, seed, tol)
+    rows = [_report_row(gen_example(Example11(eps))[0], da, TopKMagnitude(2), eps, seed)
             for eps in eps_values]
     notes = []
     for row in rows:
@@ -305,8 +302,8 @@ def run_table1_sweep(eps_list, da_norm: float, seed: int,
     return SweepResult(columns=SWEEP_COLUMNS, rows=tuple(rows), notes=tuple(notes))
 
 
-def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01, seed: int = 42,
-                        tol: Tolerances = DEFAULT_TOL) -> SweepResult:
+def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01,
+                        seed: int = 42) -> SweepResult:
     """Gap-power tightness sweep: eps tied to c*delta^r, measured distance
     compared against the analytic witness leading term eps/(r! delta^r)."""
     if not 0.0 < eps_rule <= 0.01:
@@ -316,7 +313,7 @@ def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01, seed: int = 
     for delta in deltas:
         eps = eps_rule * delta ** r
         a, facts = gen_example(TightGeneral(r=r, delta=delta, eps=eps))
-        rows.append(_report_row(a, facts.perturbation, facts.selector, delta, seed, tol))
+        rows.append(_report_row(a, facts.perturbation, facts.selector, delta, seed))
         eps_values.append(eps)
         ratios.append(rows[-1]["measured_sin"] / facts.witness_sin_leading)
     logs_d = np.log(deltas)
@@ -330,15 +327,15 @@ def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01, seed: int = 
     return SweepResult(columns=SWEEP_COLUMNS, rows=tuple(rows), summary=summary)
 
 
-def run_v2_necessity(delta: float, delta1: float, eps: float, n: int | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> dict:
+def run_v2_necessity(delta: float, delta1: float, eps: float,
+                     n: int | None = None) -> dict:
     """Necessity check for the dual-basis condition number: the full bound
     must dominate the measured distance while the bound divided by k2(V2)
     must fail to, in the regime delta1 <= delta/10."""
     spec = V2Necessity3(delta, delta1, eps) if n is None \
         else V2NecessityN(n, delta, delta1, eps)
     a, facts = gen_example(spec)
-    rep = full_report(a, facts.perturbation, facts.selector, tol=tol)
+    rep = full_report(a, facts.perturbation, facts.selector)
     reduced = rep.new_value_perj / rep.kappa_V2
     strict_regime = delta1 <= delta / 10.0
     return {

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     ConvergenceFailure,
     InvalidMatrix,
@@ -97,17 +96,22 @@ def cond2(z) -> float:
     return float(s[0] / s[-1])
 
 
-def qr_decompose(z, tol: Tolerances = DEFAULT_TOL) -> QRFactors:
+# sigma_min/sigma_max at or below this: the basis handed to qr_decompose is
+# rank deficient
+RANK_TOL = 1e-13
+
+
+def qr_decompose(z) -> QRFactors:
     """Thin QR of a full-column-rank matrix with a fixed phase convention.
 
-    Raises RankDeficient when sigma_min(Z) <= rank_tol * sigma_max(Z), which
+    Raises RankDeficient when sigma_min(Z) <= RANK_TOL * sigma_max(Z), which
     signals that the caller's subspace basis is degenerate.
     """
     z = as_matrix(z, "Z")
     if z.shape[0] < z.shape[1]:
         raise ShapeMismatch(f"qr_decompose: need rows >= cols, got {z.shape}")
     s = singular_values(z)
-    if s[0] == 0.0 or s[-1] <= tol.rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"qr_decompose: sigma_min/sigma_max = {0.0 if s[0] == 0 else s[-1] / s[0]:.3e}"
         )
@@ -127,15 +131,17 @@ def qr_decompose(z, tol: Tolerances = DEFAULT_TOL) -> QRFactors:
 # the name stays because the benchmark's tracer (bench/tracer.py) wraps it.
 kron = np.kron
 
-# self-check on eig's own arithmetic, so a constant rather than a --tol key: the
-# residual relative to ||A||_2 and the dual-basis defect relative to max(kappa2(X), 1)
+# self-check on eig's own arithmetic: the residual relative to ||A||_2 and the
+# dual-basis defect relative to max(kappa2(X), 1)
 EIG_TOL = 1e-10
+# kappa2(X) beyond this: the input is taken as not diagonalizable (Jordan-like)
+KAPPA_CAP = 1e13
 
 
-def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
+def eig(a) -> EigenDecomposition:
     """Eigendecomposition with deterministic ordering and phase convention.
 
-    Raises NotDiagonalizable when kappa2(X) exceeds ``tol.kappa_cap`` and
+    Raises NotDiagonalizable when kappa2(X) exceeds ``KAPPA_CAP`` and
     ConvergenceFailure when the residual checks fail.
     """
     a = _square(a, "A")
@@ -156,8 +162,8 @@ def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     if s[-1] == 0.0:
         raise NotDiagonalizable("eig: eigenvector basis is exactly singular")
     kappa = float(s[0] / s[-1])
-    if kappa > tol.kappa_cap:
-        raise NotDiagonalizable(f"eig: kappa2(X) = {kappa:.3e} exceeds cap {tol.kappa_cap:.1e}")
+    if kappa > KAPPA_CAP:
+        raise NotDiagonalizable(f"eig: kappa2(X) = {kappa:.3e} exceeds cap {KAPPA_CAP:.1e}")
 
     v = np.linalg.inv(x).conj().T
     a_norm = float(np.linalg.norm(a, 2))

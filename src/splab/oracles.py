@@ -21,11 +21,9 @@ import numpy as np
 import scipy.linalg
 
 from .bounds import analyze
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     EnclosureViolated,
     GapViolated,
-    ResolventSingular,
     ShapeMismatch,
     SpecViolation,
 )
@@ -110,9 +108,8 @@ def reciprocal_gap_matrix(lambda1_tilde, lambda2) -> np.ndarray:
 
 
 def build_oracle_context(a, da, selector: Selector,
-                         match: MatchStrategy | None = None,
-                         tol: Tolerances = DEFAULT_TOL) -> OracleContext:
-    run = analyze(a, da, selector, match, tol)
+                         match: MatchStrategy | None = None) -> OracleContext:
+    run = analyze(a, da, selector, match)
     part, part_t = run.part, run.part_tilde
     recip = reciprocal_gap_matrix(part_t.lambda1, part.lambda2)
     return OracleContext(a=run.a, a_tilde=run.a + run.da, da=run.da, part=part,
@@ -179,10 +176,15 @@ def coupling_row(ctx: OracleContext, i: int) -> np.ndarray:
     return np.asarray(row, dtype=np.complex128).reshape(-1)
 
 
-def _classify_by_contour(lam: np.ndarray, contour: Contour,
-                         tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+# eigenvalue clearance from a contour, scaled by its radius.  Every
+# quadrature node lies on the circle, so the clearance also keeps each node
+# that far from every accepted eigenvalue and the resolvent well conditioned.
+CONTOUR_MARGIN = 0.05
+
+
+def _check_separation(lam: np.ndarray, contour: Contour) -> None:
     dist = np.abs(lam - contour.center)
-    band = tol.contour_margin * contour.radius
+    band = CONTOUR_MARGIN * contour.radius
     inside = dist <= contour.radius - band
     outside = dist >= contour.radius + band
     strays = ~(inside | outside)
@@ -192,21 +194,13 @@ def _classify_by_contour(lam: np.ndarray, contour: Contour,
             f"margin band around radius {contour.radius:.6g}")
     if not np.any(inside) or not np.any(outside):
         raise EnclosureViolated("contour: circle must separate the spectrum properly")
-    return inside, outside
 
 
-def _check_nodes(lam: np.ndarray, contour: Contour, tol: Tolerances) -> None:
-    pts, _ = contour.points()
-    gap = np.min(np.abs(pts[:, np.newaxis] - lam[np.newaxis, :]))
-    if gap < tol.resolvent_tol * contour.radius:
-        raise ResolventSingular(f"contour: node within {gap:.3e} of an eigenvalue")
-
-
-def contour_projector(a, ed: EigenDecomposition, contour: Contour, side: int = 1,
-                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def contour_projector(a, ed: EigenDecomposition, contour: Contour,
+                      side: int = 1) -> np.ndarray:
     """Spectral projector by trapezoid quadrature of the resolvent integral.
 
-    The circle must separate the spectrum with the configured margin; the
+    The circle must separate the spectrum with ``CONTOUR_MARGIN``; the
     side-1 projector covers the enclosed eigenvalues and the side-2 projector
     is its complement.  The quadrature error decreases geometrically in the
     node count while above roundoff.
@@ -214,8 +208,7 @@ def contour_projector(a, ed: EigenDecomposition, contour: Contour, side: int = 1
     a = as_matrix(a, "A")
     if side not in (1, 2):
         raise SpecViolation(f"contour_projector: side must be 1 or 2, got {side}")
-    _classify_by_contour(ed.lam, contour, tol)
-    _check_nodes(ed.lam, contour, tol)
+    _check_separation(ed.lam, contour)
     pts, weights = contour.points()
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
@@ -225,16 +218,15 @@ def contour_projector(a, ed: EigenDecomposition, contour: Contour, side: int = 1
     return acc if side == 1 else eye - acc
 
 
-def enclosing_circle(inside, outside, nodes: int = 256,
-                     tol: Tolerances = DEFAULT_TOL) -> Contour:
+def enclosing_circle(inside, outside, nodes: int = 256) -> Contour:
     """Circle around the mean of ``inside`` separating it from ``outside``
-    with the configured margins; raises EnclosureViolated when impossible."""
+    with ``CONTOUR_MARGIN``; raises EnclosureViolated when impossible."""
     li = np.atleast_1d(np.asarray(inside, dtype=np.complex128))
     lo = np.atleast_1d(np.asarray(outside, dtype=np.complex128))
     center = complex(np.mean(li))
     r_in = float(np.max(np.abs(li - center)))
     r_out = float(np.min(np.abs(lo - center)))
-    m = tol.contour_margin
+    m = CONTOUR_MARGIN
     low = r_in / (1.0 - m)
     high = r_out / (1.0 + m)
     if low > high or high == 0.0:
@@ -250,8 +242,7 @@ def residue_coupling_matrix(ctx: OracleContext) -> np.ndarray:
     return ctx.hadamard
 
 
-def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256,
-                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256) -> np.ndarray:
     """Same block as ``residue_coupling_matrix`` but via trapezoid quadrature
     of the diagonal-resolvent contour integral over the ``enclosing_circle``
     of both kept spectra; independent numerical route."""
@@ -259,13 +250,8 @@ def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256,
     outside = np.concatenate([ctx.part.lambda2, ctx.part_tilde.lambda2])
     if np.min(np.abs(inside[:, np.newaxis] - outside[np.newaxis, :])) == 0.0:
         raise GapViolated("contour_coupling_matrix: kept and complement spectra meet")
-    contour = enclosing_circle(inside, outside, nodes, tol)
-    everything = np.concatenate([inside, outside])
-    _check_nodes(everything, contour, tol)
-    in_mask, _ = _classify_by_contour(everything, contour, tol)
-    if not np.all(in_mask[: inside.shape[0]]) or np.any(in_mask[inside.shape[0]:]):
-        raise EnclosureViolated("contour_coupling_matrix: circle does not enclose "
-                                "exactly the kept spectra")
+    contour = enclosing_circle(inside, outside, nodes)
+    _check_separation(np.concatenate([inside, outside]), contour)
     core = ctx.cross
     pts, weights = contour.points()
     acc = np.zeros_like(core)

@@ -16,7 +16,6 @@ from typing import Union
 import numpy as np
 import scipy.optimize
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AssignmentAmbiguous,
     BoundaryAmbiguity,
@@ -94,7 +93,7 @@ class SpectralPartition:
     Column order inside each block preserves the global eigenvalue ordering;
     ``idx1``/``idx2`` record the positions in the parent decomposition so the
     split can be undone exactly.  The QR factors of ``x1`` and ``v2`` are
-    built with ``tol`` on first access, so RankDeficient surfaces there.
+    built on first access, so RankDeficient surfaces there.
     """
 
     r: int
@@ -106,15 +105,14 @@ class SpectralPartition:
     v2: np.ndarray
     idx1: tuple[int, ...]
     idx2: tuple[int, ...]
-    tol: Tolerances = DEFAULT_TOL
 
     @functools.cached_property
     def qr_x1(self) -> QRFactors:
-        return qr_decompose(self.x1, self.tol)
+        return qr_decompose(self.x1)
 
     @functools.cached_property
     def qr_v2(self) -> QRFactors:
-        return qr_decompose(self.v2, self.tol)
+        return qr_decompose(self.v2)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,12 @@ class NearestAssignment:
 MatchStrategy = Union[SameSelector, NearestAssignment]
 
 
-def _side1_indices(lam: np.ndarray, sel: Selector, tol: Tolerances) -> list[int]:
+# eigenvalue distance from a disk selector's boundary, scaled by its radius,
+# at or below which the side is ambiguous
+DISK_TOL = 1e-9
+
+
+def _side1_indices(lam: np.ndarray, sel: Selector) -> list[int]:
     n = lam.shape[0]
     if n == 1:
         raise EmptySide("a 1x1 matrix has no split: each side needs an eigenvalue")
@@ -152,7 +155,7 @@ def _side1_indices(lam: np.ndarray, sel: Selector, tol: Tolerances) -> list[int]
     if sel.radius <= 0:
         raise SpecViolation("disk: radius must be positive")
     dist = np.abs(lam - sel.center)
-    band = tol.disk_tol * sel.radius
+    band = DISK_TOL * sel.radius
     near = np.nonzero(np.abs(dist - sel.radius) <= band)[0]
     if near.size:
         raise BoundaryAmbiguity(
@@ -164,7 +167,7 @@ def _side1_indices(lam: np.ndarray, sel: Selector, tol: Tolerances) -> list[int]
     return idx
 
 
-def _build(ed: EigenDecomposition, idx1: list[int], tol: Tolerances) -> SpectralPartition:
+def _build(ed: EigenDecomposition, idx1: list[int]) -> SpectralPartition:
     n = ed.n
     idx2 = [i for i in range(n) if i not in set(idx1)]
     x1, x2 = ed.x[:, idx1], ed.x[:, idx2]
@@ -179,27 +182,29 @@ def _build(ed: EigenDecomposition, idx1: list[int], tol: Tolerances) -> Spectral
         v2=v2,
         idx1=tuple(idx1),
         idx2=tuple(idx2),
-        tol=tol,
     )
 
 
-def partition(ed: EigenDecomposition, sel: Selector,
-              tol: Tolerances = DEFAULT_TOL) -> SpectralPartition:
+def partition(ed: EigenDecomposition, sel: Selector) -> SpectralPartition:
     """Split ``ed`` into the selected block and its complement."""
-    return _build(ed, _side1_indices(ed.lam, sel, tol), tol)
+    return _build(ed, _side1_indices(ed.lam, sel))
+
+
+# cost of the cheapest cross-split swap, scaled by the spectral scale, below
+# which the nearest assignment is ambiguous
+ASSIGN_TOL = 1e-12
 
 
 def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
-                    strategy: MatchStrategy,
-                    tol: Tolerances = DEFAULT_TOL) -> SpectralPartition:
+                    strategy: MatchStrategy) -> SpectralPartition:
     """Partition the perturbed decomposition consistently with ``base``.
 
     Raises AssignmentAmbiguous when a cross-split swap is within
-    ``assign_tol`` of the optimal assignment cost.  The post-perturbation gap
+    ``ASSIGN_TOL`` of the optimal assignment cost.  The post-perturbation gap
     is not checked here; the consumers of the match check it.
     """
     if isinstance(strategy, SameSelector):
-        return partition(ed_tilde, strategy.selector, tol)
+        return partition(ed_tilde, strategy.selector)
     lam_base = np.empty(base.r + base.lambda2.shape[0], dtype=np.complex128)
     for k, i in enumerate(base.idx1):
         lam_base[i] = base.lambda1[k]
@@ -218,11 +223,11 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
         for k in side2:
             swap = (cost[i, assigned_base[k]] + cost[k, assigned_base[i]]
                     - cost[i, assigned_base[i]] - cost[k, assigned_base[k]])
-            if swap < tol.assign_tol * scale:
+            if swap < ASSIGN_TOL * scale:
                 raise AssignmentAmbiguous(
                     f"match_partition: swapping rows {i} and {k} changes the "
                     f"cost by {swap:.3e}")
-    return _build(ed_tilde, side1, tol)
+    return _build(ed_tilde, side1)
 
 
 def gap_delta1(lambda1, lambda2) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import analyze
-from .config import DEFAULT_TOL, Tolerances
 from .errors import SpecViolation
 from .experiments import Example11, TightR2, gen_example
 from .linalg import eig
@@ -30,8 +29,7 @@ from .oracles import (
 from .partition import NearestAssignment, TopKMagnitude, partition
 from .rng import SplitMix64
 
-# Suite criteria: they decide which cases a suite runs and when it passes, so
-# they are fixed here rather than user-settable tolerances.
+# Suite criteria: they decide which cases a suite runs and when it passes.
 QUAD_TOL = 1e-8          # residue-vs-quadrature agreement
 SUITE_KAPPA_CAP = 1e6    # identity-suite filter on kappa2(R_V2)*kappa2(R_X1t)
 SIGMA_R_FLOOR = 1e-280   # skip cases whose charpoly constant term underflows
@@ -127,8 +125,7 @@ def random_clustered_case(seed: int):
     return a, da, r
 
 
-def run_identity_suite(kind: str, base_seed: int = 42, cases: int = 100,
-                       tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_identity_suite(kind: str, base_seed: int = 42, cases: int = 100) -> list[dict]:
     """Exact-identity suites: kind "lemma32" checks the Hadamard-form
     residual against its scaled threshold; kind "lemma33" rebuilds the
     coupling block row by row from the characteristic-polynomial formula and
@@ -139,7 +136,7 @@ def run_identity_suite(kind: str, base_seed: int = 42, cases: int = 100,
     offset = 0
     while len(records) < cases:
         seed = base_seed + len(records) + offset
-        ctx = _suite_context(seed, tol)
+        ctx = _suite_context(seed)
         if ctx is None:
             offset += 1
             if offset > 20 * cases:
@@ -158,10 +155,10 @@ def run_identity_suite(kind: str, base_seed: int = 42, cases: int = 100,
     return records
 
 
-def _suite_context(seed: int, tol: Tolerances) -> OracleContext | None:
+def _suite_context(seed: int) -> OracleContext | None:
     """Build a case context, or None when the conditioning filter rejects it."""
     a, da, r = random_diagonalizable_case(seed)
-    ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment(), tol)
+    ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment())
     if ctx.kprod > SUITE_KAPPA_CAP:
         return None
     sigma_r_min = float(np.min(np.abs(
@@ -172,15 +169,14 @@ def _suite_context(seed: int, tol: Tolerances) -> OracleContext | None:
     return ctx
 
 
-def run_dominance_suite(base_seed: int = 42, cases: int = 300,
-                        tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_dominance_suite(base_seed: int = 42, cases: int = 300) -> list[dict]:
     """measured distance <= per-eigenvalue bound <= uniform-gap bound, with
     the perturbation scaled so delta_lambda >= 10 ||dA||."""
     records = []
     for k in range(cases):
         seed = base_seed + k
         a, da, r = random_diagonalizable_case(seed)
-        run = analyze(a, da, TopKMagnitude(r), NearestAssignment(), tol)
+        run = analyze(a, da, TopKMagnitude(r), NearestAssignment())
         for _ in range(5):
             if run.delta_lambda >= 10.0 * run.da_norms[0]:
                 break
@@ -193,13 +189,12 @@ def run_dominance_suite(base_seed: int = 42, cases: int = 300,
     return records
 
 
-def _scaling_quantities(a, da, r: int, tol: Tolerances) -> tuple[float, float, float]:
-    run = analyze(a, da, TopKMagnitude(r), NearestAssignment(), tol)
+def _scaling_quantities(a, da, r: int) -> tuple[float, float, float]:
+    run = analyze(a, da, TopKMagnitude(r), NearestAssignment())
     return (*run.product_bound, run.measured_sin)
 
 
-def run_scaling_suite(base_seed: int = 42,
-                      tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_scaling_suite(base_seed: int = 42) -> list[dict]:
     """Simultaneous scaling of (A, dA) by 1e-3 and 1e3 must leave the product
     bound and the measured distance unchanged to 1e-10 relative."""
     scenarios = []
@@ -210,31 +205,29 @@ def run_scaling_suite(base_seed: int = 42,
 
     records = []
     for name, a_mat, da, r in scenarios:
-        base = _scaling_quantities(a_mat, da, r, tol)
+        base = _scaling_quantities(a_mat, da, r)
         worst = 0.0
         for t in (1e-3, 1e3):
-            scaled = _scaling_quantities(t * a_mat, t * da, r, tol)
+            scaled = _scaling_quantities(t * a_mat, t * da, r)
             for ref, got in zip(base, scaled):
                 worst = max(worst, abs(got - ref) / abs(ref))
         records.append(_record(f"scaling-{name}", base_seed, worst, 1e-10))
     return records
 
 
-def run_contour_suite(base_seed: int = 42,
-                      tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_contour_suite(base_seed: int = 42) -> list[dict]:
     """Projector quadrature accuracy, geometric error contraction under node
     doubling (checked above the roundoff floor), and agreement of the
     residue- and quadrature-path coupling blocks."""
     records = []
 
     def projector_error(mat, ed, reference, radius: float, nodes: int) -> float:
-        proj = contour_projector(mat, ed, Contour(center=1.0, radius=radius, nodes=nodes),
-                                 side=1, tol=tol)
+        proj = contour_projector(mat, ed, Contour(center=1.0, radius=radius, nodes=nodes))
         return float(np.linalg.norm(proj - reference, 2))
 
     a, _ = gen_example(Example11(1e-4))
-    ed = eig(a, tol)
-    part = partition(ed, TopKMagnitude(2), tol)
+    ed = eig(a)
+    part = partition(ed, TopKMagnitude(2))
     reference = part.x1 @ part.v1.conj().T
     errs = {n: projector_error(a, ed, reference, 0.3, n) for n in (256, 16, 32, 64)}
     records.append(_record("example11-circle-256", base_seed, errs[256], 1e-8))
@@ -244,7 +237,7 @@ def run_contour_suite(base_seed: int = 42,
                            errs[64], errs[32] / 10.0))
 
     slow = np.diag([1.0, 0.0]).astype(np.complex128)  # its own side-1 projector
-    ed_slow = eig(slow, tol)
+    ed_slow = eig(slow)
     slow_errs = {n: projector_error(slow, ed_slow, slow, 0.9, n) for n in (64, 128, 256)}
     records.append(_record("analytic-contract-64-128", base_seed,
                            slow_errs[128], slow_errs[64] / 10.0))
@@ -252,10 +245,9 @@ def run_contour_suite(base_seed: int = 42,
                            slow_errs[256], slow_errs[128] / 10.0))
 
     a_rand, da_rand, r_rand = random_clustered_case(base_seed)
-    ctx = build_oracle_context(a_rand, da_rand, TopKMagnitude(r_rand),
-                               NearestAssignment(), tol)
+    ctx = build_oracle_context(a_rand, da_rand, TopKMagnitude(r_rand), NearestAssignment())
     res_path = residue_coupling_matrix(ctx)
-    quad_path = contour_coupling_matrix(ctx, nodes=256, tol=tol)
+    quad_path = contour_coupling_matrix(ctx, nodes=256)
     records.append(_record("residue-vs-quadrature", base_seed,
                            float(np.linalg.norm(res_path - quad_path, 2)),
                            QUAD_TOL))
@@ -269,18 +261,17 @@ def run_contour_suite(base_seed: int = 42,
 
 
 SUITES = {
-    "lemma32": lambda seed, cases, tol: run_identity_suite("lemma32", seed, cases, tol),
-    "lemma33": lambda seed, cases, tol: run_identity_suite("lemma33", seed, cases, tol),
-    "contour": lambda seed, cases, tol: run_contour_suite(seed, tol),
-    "dominance": lambda seed, cases, tol: run_dominance_suite(seed, cases, tol),
-    "scaling": lambda seed, cases, tol: run_scaling_suite(seed, tol),
+    "lemma32": lambda seed, cases: run_identity_suite("lemma32", seed, cases),
+    "lemma33": lambda seed, cases: run_identity_suite("lemma33", seed, cases),
+    "contour": lambda seed, cases: run_contour_suite(seed),
+    "dominance": lambda seed, cases: run_dominance_suite(seed, cases),
+    "scaling": lambda seed, cases: run_scaling_suite(seed),
 }
 
 
-def run_suite(name: str, seed: int = 42, cases: int | None = None,
-              tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+def run_suite(name: str, seed: int = 42, cases: int | None = None) -> list[dict]:
     if name not in SUITES:
         raise SpecViolation(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     defaults = {"lemma32": 100, "lemma33": 100, "dominance": 300}
     n_cases = cases if cases is not None else defaults.get(name, 0)
-    return SUITES[name](seed, n_cases, tol)
+    return SUITES[name](seed, n_cases)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splab.angles import orth_complement, principal_angles, sin_theta_norm, tan_theta_norm
+from splab.angles import orth_complement, principal_angles, sin_theta_norm
 from splab.errors import NotOrthonormal, ShapeMismatch
 from splab.linalg import eig, qr_decompose
 from splab.partition import TopKMagnitude, partition
@@ -30,7 +30,7 @@ def test_identical_subspaces():
     assert np.allclose(d.cosines, 1.0, atol=1e-12)
     assert d.sin_norm <= 1e-12
     assert sin_theta_norm(q, q) <= 1e-12
-    assert tan_theta_norm(q, q) <= 1e-12
+    assert principal_angles(q, q).tan_norm <= 1e-12
 
 
 def test_partially_orthogonal_pair():
@@ -39,7 +39,7 @@ def test_partially_orthogonal_pair():
     d = principal_angles(q1, q2)
     assert np.allclose(sorted(d.cosines, reverse=True), [1.0, 0.0], atol=1e-14)
     assert d.sin_norm == pytest.approx(1.0, abs=1e-14)
-    assert tan_theta_norm(q1, q2) == np.inf
+    assert principal_angles(q1, q2).tan_norm == np.inf
 
 
 def test_rotation_oracle():
@@ -47,7 +47,7 @@ def test_rotation_oracle():
         e1 = rotated_line(0.0)
         qt = rotated_line(theta)
         assert sin_theta_norm(e1, qt) == pytest.approx(np.sin(theta), rel=1e-9)
-        assert tan_theta_norm(e1, qt) == pytest.approx(np.tan(theta), rel=1e-9)
+        assert principal_angles(e1, qt).tan_norm == pytest.approx(np.tan(theta), rel=1e-9)
 
 
 def test_orth_complement_cases():

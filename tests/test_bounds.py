@@ -376,7 +376,7 @@ def test_analyze_perturb_matches_a_fresh_analysis():
 def test_classical_bound_dominates_tangent_distance():
     # the separation-derived bound is a tangent bound: compare it against the
     # tangent, not the sine, whenever it is non-vacuous
-    from splab.angles import tan_theta_norm
+    from splab.angles import principal_angles
     checked = 0
     for k in range(100):
         a, da, r = random_diagonalizable_case(9500 + k)
@@ -385,6 +385,6 @@ def test_classical_bound_dominates_tangent_distance():
             continue
         part = partition(eig(a), TopKMagnitude(r))
         part_t = match_partition(eig(a + da), part, NearestAssignment())
-        assert tan_theta_norm(part.qr_x1.q, part_t.qr_x1.q) <= rep.classical_value
+        assert principal_angles(part.qr_x1.q, part_t.qr_x1.q).tan_norm <= rep.classical_value
         checked += 1
     assert checked >= 90

@@ -329,14 +329,27 @@ def test_report_nearest_match_strategy(tmp_path):
     assert json.loads(rep_path.read_text())["match_strategy"] == "nearest-assignment"
 
 
-def test_tol_overrides_are_applied(tmp_path):
+def test_thresholds_cannot_be_overridden(tmp_path, capsys):
+    jordan = tmp_path / "jordan.json"
+    save_matrix(jordan, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128))
     a_path = tmp_path / "a.json"
     run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path))
-    # kappa2(X) ~ 100 here, so a cap of 10 must reject the decomposition
-    assert run_cli("eig", "--input", str(a_path), "--tol", "kappa_cap=10") == 3
-    assert run_cli("eig", "--input", str(a_path), "--tol", "kappa_cap=1e6",
-                   "--out", str(tmp_path / "e.json")) == 0
-    assert run_cli("eig", "--input", str(a_path), "--tol", "nonsense=1") == 1
+    # the defective block exceeds the fixed kappa2(X) cap; Example11's
+    # kappa2(X) ~ 100 stays below it
+    assert run_cli("eig", "--input", str(jordan)) == 3
+    assert run_cli("eig", "--input", str(a_path), "--out", str(tmp_path / "e.json")) == 0
+    # values that would switch an input check off are not options at all
+    commands = {"eig": ("eig", "--input", str(jordan)),
+                "report": ("report", "--input", str(jordan), "--perturb", "gaussian:1e-6",
+                           "--select", "topk:1")}
+    for knob in ("kappa_cap=nan", "kappa_cap=inf", "disk_tol=-5", "nonsense=1"):
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            capsys.readouterr()
+            assert run_cli(*argv, "--tol", knob, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("splab: ") and err.count("\n") == 1
+            assert not out.exists()
 
 
 def test_seed_env_var_used_when_flag_absent(tmp_path, monkeypatch):

