@@ -8,7 +8,8 @@ boundary), 2 an assumption flag fired (the report is still written),
 
 Every numerical threshold is a constant beside the check that reads it
 (``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
-what counts as a valid input and a run is reproduced by its command line.
+what counts as a valid input.  A run is reproduced by its command line and
+``SPLAB_SEED``, which sets the seed when ``--seed`` is absent.
 ``sweep --format`` applies to table1 and tightness (CSV by default);
 v2necessity and special write JSON only, and refuse an explicit
 ``--format csv``.

@@ -131,6 +131,13 @@ def qr_decompose(z) -> QRFactors:
 # the name stays because the benchmark's tracer (bench/tracer.py) wraps it.
 kron = np.kron
 
+
+def spectral_order(w: np.ndarray) -> np.ndarray:
+    """Indices sorting ``w`` by descending magnitude, ties broken by descending
+    real part, then descending imaginary part: the order of ``eig``."""
+    return np.lexsort((-w.imag, -w.real, -np.abs(w)))
+
+
 # self-check on eig's own arithmetic: the residual relative to ||A||_2 and the
 # dual-basis defect relative to max(kappa2(X), 1)
 EIG_TOL = 1e-10
@@ -150,7 +157,7 @@ def eig(a) -> EigenDecomposition:
         w, x = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eig did not converge: {exc}") from exc
-    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
+    order = spectral_order(w)
     w = w[order]
     x = x[:, order]
     x = x / np.linalg.norm(x, axis=0)[np.newaxis, :]

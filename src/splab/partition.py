@@ -91,12 +91,13 @@ class SpectralPartition:
     """An eigendecomposition split into the studied block and its complement.
 
     Column order inside each block preserves the global eigenvalue ordering;
-    ``idx1``/``idx2`` record the positions in the parent decomposition so the
-    split can be undone exactly.  The QR factors of ``x1`` and ``v2`` are
+    ``lam`` is the parent decomposition's sorted spectrum and ``idx1``/``idx2``
+    record each block's positions in it.  The QR factors of ``x1`` and ``v2`` are
     built on first access, so RankDeficient surfaces there.
     """
 
     r: int
+    lam: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
     x1: np.ndarray
@@ -174,6 +175,7 @@ def _build(ed: EigenDecomposition, idx1: list[int]) -> SpectralPartition:
     v1, v2 = ed.v[:, idx1], ed.v[:, idx2]
     return SpectralPartition(
         r=len(idx1),
+        lam=ed.lam,
         lambda1=ed.lam[idx1],
         lambda2=ed.lam[idx2],
         x1=x1,
@@ -205,11 +207,7 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
     """
     if isinstance(strategy, SameSelector):
         return partition(ed_tilde, strategy.selector)
-    lam_base = np.empty(base.r + base.lambda2.shape[0], dtype=np.complex128)
-    for k, i in enumerate(base.idx1):
-        lam_base[i] = base.lambda1[k]
-    for k, i in enumerate(base.idx2):
-        lam_base[i] = base.lambda2[k]
+    lam_base = base.lam
     lam_t = ed_tilde.lam
     if lam_t.shape[0] != lam_base.shape[0]:
         raise ShapeMismatch("match_partition: spectra have different sizes")

@@ -162,14 +162,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
     assert run_cli("verify", "lemma32", "--cases", "-3") == 1
     assert run_cli("verify", "lemma32", "--cases", "0") == 1
-    # the dense Kronecker operator and its size cap are gone
-    assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
-                   "--select", "topk:2", "--tol", "size_cap=4096") == 1
-    # suite pass/filter criteria are fixed in verify, and the self-checks on
-    # the program's own arithmetic beside their checks; neither is a --tol key
-    for knob in ("quad_tol=1e-8", "suite_kappa_cap=1e6", "sigma_r_floor=1e-280",
-                 "tol_eig=1e-8", "tol_orth=1e-12", "cross_tol=1e-10"):
-        assert run_cli("verify", "contour", "--tol", knob) == 1
     # the JSON-only sweeps refuse an explicit --format csv
     for family in ("special", "v2necessity"):
         capsys.readouterr()
@@ -341,7 +333,8 @@ def test_thresholds_cannot_be_overridden(tmp_path, capsys):
     # values that would switch an input check off are not options at all
     commands = {"eig": ("eig", "--input", str(jordan)),
                 "report": ("report", "--input", str(jordan), "--perturb", "gaussian:1e-6",
-                           "--select", "topk:1")}
+                           "--select", "topk:1"),
+                "verify": ("verify", "contour")}
     for knob in ("kappa_cap=nan", "kappa_cap=inf", "disk_tol=-5", "nonsense=1"):
         for name, argv in commands.items():
             out = tmp_path / f"{name}.json"

@@ -5,6 +5,7 @@ from splab.angles import sin_theta_norm
 from splab.bounds import new_bound
 from splab.errors import SpecViolation
 from splab.linalg import eig
+from splab.oracles import build_oracle_context
 from splab.partition import (
     NearestAssignment,
     TopKMagnitude,
@@ -13,6 +14,7 @@ from splab.partition import (
     partition,
 )
 from splab.verify import (
+    SAMPLE_MIN_GAP,
     SUITES,
     random_clustered_case,
     random_diagonalizable_case,
@@ -53,13 +55,30 @@ def test_case_generators_are_deterministic_and_sized():
     assert np.count_nonzero(near) == rc
 
 
+def test_sampler_rules_out_the_cases_the_suites_do_not_filter():
+    # the Bauer-Fike facts in random_diagonalizable_case's docstring, which
+    # let the suites run every drawn case without a filter or a rescale
+    for seed in range(500):
+        a, da, r = random_diagonalizable_case(seed)
+        ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment())
+        delta1 = gap_delta1(ctx.part.lambda1, ctx.part.lambda2)
+        diffs = ctx.part_tilde.lambda1[np.newaxis, :] - ctx.part.lambda2[:, np.newaxis]
+        delta_lambda = np.min(np.abs(diffs))
+        assert delta_lambda >= 0.99 * delta1
+        assert delta_lambda >= 10.0 * np.linalg.norm(da, 2)
+        # |sigma_r| of the characteristic-polynomial row form, for every row
+        assert np.min(np.abs(np.prod(diffs, axis=1))) >= (0.99 * SAMPLE_MIN_GAP) ** r
+        # the conditioning that scales the Hadamard identity's threshold
+        assert ctx.kprod <= 1e6
+
+
 def test_run_suite_dispatch():
     assert set(SUITES) == {"lemma32", "lemma33", "contour", "dominance", "scaling"}
     records = run_suite("dominance", seed=5, cases=10)
     assert len(records) == 10
     assert all(rec["pass"] for rec in records)
     with pytest.raises(SpecViolation):
-        run_suite("nope")
+        run_suite("nope", 42)
 
 
 def test_dominance_records_match_the_public_entry_points():
