@@ -8,9 +8,12 @@ Two upper bounds on the subspace distance are computed side by side:
   (k2(V2) ||dA||_F / a) * prod_j (1 + a / gap_j), a = ||A|| + ||dA|| + rho(L2),
   in both its per-eigenvalue form and its coarser uniform-gap form.
 
-``analyze`` runs the pipeline eig -> partition -> match once and holds every
-quantity the bounds and the measured distance share; ``full_report`` reads
-it and records every quantity a reader needs to audit either bound.
+``analyze`` runs the pipeline eig -> partition -> match once, and its
+``Analysis`` holds every quantity the bounds and the measured distance
+share; ``Analysis.product_bound`` is the one home of the product-bound
+formula.  ``full_report`` reads the analysis and records every quantity a
+reader needs to audit either bound, and the identity verifiers of
+``oracles`` extend the same record.
 """
 
 from __future__ import annotations
@@ -69,30 +72,14 @@ class BoundReport:
     match_strategy: str
 
 
-def _kept_gaps(part: SpectralPartition, part_tilde: SpectralPartition) -> np.ndarray:
-    """Distance from each perturbed kept eigenvalue to the complement set."""
-    return np.min(np.abs(part_tilde.lambda1[:, np.newaxis]
-                         - part.lambda2[np.newaxis, :]), axis=1)
-
-
-def _product_bound(gaps: np.ndarray, delta_lambda: float, kappa_v2: float,
-                   da_frob: float, a: float) -> tuple[float, float]:
-    """Product bound from its ingredients; ``delta_lambda`` is min(gaps) > 0."""
-    if da_frob == 0.0:
-        return 0.0, 0.0
-    lead = kappa_v2 * da_frob / a
-    perj = lead * float(np.prod(1.0 + a / gaps))
-    dl = lead * (1.0 + a / delta_lambda) ** gaps.shape[0]
-    return float(perj), float(dl)
-
-
 @dataclass(frozen=True)
 class Analysis:
     """One pass of eig -> partition -> match over (A, dA, selector).
 
     Holds A and its partition, dA and the matched partition of A + dA, the
     match strategy, and ||A||_2 as measured by ``eig``.  Each derived
-    quantity is computed on first access and kept.
+    quantity is computed on first access and kept.  ``oracles.OracleContext``
+    is this record with the identity verifiers' blocks added.
     """
 
     a: np.ndarray
@@ -115,7 +102,9 @@ class Analysis:
 
     @functools.cached_property
     def gaps(self) -> np.ndarray:
-        return _kept_gaps(self.part, self.part_tilde)
+        """Distance from each perturbed kept eigenvalue to the complement set."""
+        return np.min(np.abs(self.part_tilde.lambda1[:, np.newaxis]
+                             - self.part.lambda2[np.newaxis, :]), axis=1)
 
     @functools.cached_property
     def delta_lambda(self) -> float:
@@ -136,8 +125,13 @@ class Analysis:
         """(perj, dl); raises GapViolated when the post-perturbation gap is zero."""
         if self.delta_lambda == 0.0:
             raise GapViolated("analyze: post-perturbation gap is zero")
-        return _product_bound(self.gaps, self.delta_lambda, self.part.qr_v2.kappa,
-                              self.da_norms[1], self.a_scale)
+        kappa_v2, da_frob, a = self.part.qr_v2.kappa, self.da_norms[1], self.a_scale
+        if da_frob == 0.0:
+            return 0.0, 0.0
+        lead = kappa_v2 * da_frob / a
+        perj = lead * float(np.prod(1.0 + a / self.gaps))
+        dl = lead * (1.0 + a / self.delta_lambda) ** self.gaps.shape[0]
+        return float(perj), float(dl)
 
     @functools.cached_property
     def measured_sin(self) -> float:
@@ -158,7 +152,8 @@ def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None) -
 
 def new_bound(a_mat, da, part: SpectralPartition,
               part_tilde: SpectralPartition) -> tuple[float, float]:
-    """Product bound in per-eigenvalue and uniform-gap form.
+    """Product bound in per-eigenvalue and uniform-gap form of given
+    partitions, read from their ``Analysis``.
 
     Returns (perj, dl) with perj <= dl; raises GapViolated when the
     post-perturbation gap is zero.
@@ -167,13 +162,8 @@ def new_bound(a_mat, da, part: SpectralPartition,
     da = as_matrix(da, "dA")
     if part.r != part_tilde.r:
         raise ShapeMismatch("new_bound: partitions have different block sizes")
-    gaps = _kept_gaps(part, part_tilde)
-    delta_lambda = float(np.min(gaps))
-    if delta_lambda == 0.0:
-        raise GapViolated("new_bound: post-perturbation gap is zero")
-    da_spec, da_frob = norms(da)
-    a = float(np.linalg.norm(a_mat, 2)) + da_spec + float(np.max(np.abs(part.lambda2)))
-    return _product_bound(gaps, delta_lambda, part.qr_v2.kappa, da_frob, a)
+    return Analysis(a=a_mat, da=da, part=part, part_tilde=part_tilde, match=None,
+                    a_norm=float(np.linalg.norm(a_mat, 2))).product_bound
 
 
 def classical_bound(part: SpectralPartition, da_spec: float,

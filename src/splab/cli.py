@@ -12,7 +12,8 @@ what counts as a valid input.  A run is reproduced by its command line and
 ``SPLAB_SEED``, which sets the seed when ``--seed`` is absent.
 ``sweep --format`` applies to table1 and tightness (CSV by default);
 v2necessity and special write JSON only, and refuse an explicit
-``--format csv``.
+``--format csv``.  ``verify --cases`` applies to the suites in
+``verify.CASES``; contour and scaling run a fixed case list and refuse it.
 """
 
 from __future__ import annotations

@@ -15,25 +15,24 @@ intermediate state with the main pipeline.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .bounds import analyze
+from .bounds import Analysis, analyze
 from .errors import (
     EnclosureViolated,
     GapViolated,
     ShapeMismatch,
     SpecViolation,
 )
-from .linalg import EigenDecomposition, as_matrix, cond2, singular_values
+from .linalg import EigenDecomposition, as_matrix, singular_values
 from .partition import (
     Disk,
     IndexSet,
     MatchStrategy,
     Selector,
-    SpectralPartition,
     TopKMagnitude,
 )
 
@@ -56,16 +55,14 @@ class Contour:
 
 
 @dataclass(frozen=True)
-class OracleContext:
-    """Shared state for the identity verifiers of one (A, dA, split) case;
-    the coupling blocks are derived on first use and kept."""
+class OracleContext(Analysis):
+    """The ``Analysis`` of one (A, dA, split) case, with the blocks the
+    identity verifiers share; each block is derived on first use and kept."""
 
-    a: np.ndarray
-    a_tilde: np.ndarray
-    da: np.ndarray
-    part: SpectralPartition
-    part_tilde: SpectralPartition
-    gap_recip: np.ndarray   # (n-r) x r entrywise reciprocal eigenvalue differences
+    @functools.cached_property
+    def gap_recip(self) -> np.ndarray:
+        """(n-r) x r entrywise reciprocal eigenvalue differences."""
+        return reciprocal_gap_matrix(self.part_tilde.lambda1, self.part.lambda2)
 
     @functools.cached_property
     def cross(self) -> np.ndarray:
@@ -92,8 +89,9 @@ class OracleContext:
 
     @functools.cached_property
     def kprod(self) -> float:
-        """k2(R_V2) k2(R_X1t), the conditioning product of the framing R factors."""
-        return cond2(self.part.qr_v2.r) * cond2(self.part_tilde.qr_x1.r)
+        """k2(R_V2) k2(R_X1t), the conditioning product of the framing R factors;
+        an R factor has the condition number of the matrix it factors."""
+        return self.part.qr_v2.kappa * self.part_tilde.qr_x1.kappa
 
 
 def reciprocal_gap_matrix(lambda1_tilde, lambda2) -> np.ndarray:
@@ -109,11 +107,12 @@ def reciprocal_gap_matrix(lambda1_tilde, lambda2) -> np.ndarray:
 
 def build_oracle_context(a, da, selector: Selector,
                          match: MatchStrategy | None = None) -> OracleContext:
+    """``analyze`` as an ``OracleContext``; raises GapViolated when a perturbed
+    kept eigenvalue equals a complement eigenvalue."""
     run = analyze(a, da, selector, match)
-    part, part_t = run.part, run.part_tilde
-    recip = reciprocal_gap_matrix(part_t.lambda1, part.lambda2)
-    return OracleContext(a=run.a, a_tilde=run.a + run.da, da=run.da, part=part,
-                         part_tilde=part_t, gap_recip=recip)
+    ctx = OracleContext(**{f.name: getattr(run, f.name) for f in fields(Analysis)})
+    ctx.gap_recip  # a coincidence raises GapViolated here, not at first use
+    return ctx
 
 
 def hadamard_identity_residual(ctx: OracleContext) -> float:
@@ -128,7 +127,7 @@ def hadamard_identity_residual(ctx: OracleContext) -> float:
 
 def hadamard_identity_threshold(ctx: OracleContext) -> float:
     """Acceptance threshold: 1e-8, scaled up only for right-hand sides above
-    unit norm or conditioning products beyond the suite cap."""
+    unit norm or conditioning products beyond 1e8."""
     rhs_norm = float(np.linalg.norm(ctx.framed, 2))
     return 1e-8 * max(1.0, rhs_norm) * max(1.0, ctx.kprod / 1e8)
 
@@ -166,7 +165,7 @@ def coupling_row(ctx: OracleContext, i: int) -> np.ndarray:
     r = part.r
     sig = elementary_symmetric(lhat)
     q = part_t.qr_x1.q
-    a_hat = ctx.a_tilde - shift * np.eye(ctx.a_tilde.shape[0], dtype=np.complex128)
+    a_hat = ctx.a + ctx.da - shift * np.eye(ctx.a.shape[0], dtype=np.complex128)
     # Horner over descending powers; coefficient of power r-1-k is (-1)^k sig_k
     work = q.copy()
     for k in range(1, r):
@@ -196,18 +195,15 @@ def _check_separation(lam: np.ndarray, contour: Contour) -> None:
         raise EnclosureViolated("contour: circle must separate the spectrum properly")
 
 
-def contour_projector(a, ed: EigenDecomposition, contour: Contour,
-                      side: int = 1) -> np.ndarray:
-    """Spectral projector by trapezoid quadrature of the resolvent integral.
+def contour_projector(a, ed: EigenDecomposition, contour: Contour) -> np.ndarray:
+    """Spectral projector onto the enclosed eigenvalues' invariant subspace by
+    trapezoid quadrature of the resolvent integral.
 
-    The circle must separate the spectrum with ``CONTOUR_MARGIN``; the
-    side-1 projector covers the enclosed eigenvalues and the side-2 projector
-    is its complement.  The quadrature error decreases geometrically in the
-    node count while above roundoff.
+    The circle must separate the spectrum with ``CONTOUR_MARGIN``; I minus
+    the result projects onto the complement.  The quadrature error decreases
+    geometrically in the node count while above roundoff.
     """
     a = as_matrix(a, "A")
-    if side not in (1, 2):
-        raise SpecViolation(f"contour_projector: side must be 1 or 2, got {side}")
     _check_separation(ed.lam, contour)
     pts, weights = contour.points()
     n = a.shape[0]
@@ -215,10 +211,10 @@ def contour_projector(a, ed: EigenDecomposition, contour: Contour,
     acc = np.zeros((n, n), dtype=np.complex128)
     for z, w in zip(pts, weights):
         acc += w * scipy.linalg.solve(z * eye - a, eye)
-    return acc if side == 1 else eye - acc
+    return acc
 
 
-def enclosing_circle(inside, outside, nodes: int = 256) -> Contour:
+def enclosing_circle(inside, outside) -> Contour:
     """Circle around the mean of ``inside`` separating it from ``outside``
     with ``CONTOUR_MARGIN``; raises EnclosureViolated when impossible."""
     li = np.atleast_1d(np.asarray(inside, dtype=np.complex128))
@@ -232,7 +228,7 @@ def enclosing_circle(inside, outside, nodes: int = 256) -> Contour:
     if low > high or high == 0.0:
         raise EnclosureViolated(
             f"enclosing_circle: need radius in [{low:.6g}, {high:.6g}]")
-    return Contour(center=center, radius=0.5 * (low + high), nodes=nodes)
+    return Contour(center=center, radius=0.5 * (low + high))
 
 
 def residue_coupling_matrix(ctx: OracleContext) -> np.ndarray:
@@ -242,7 +238,7 @@ def residue_coupling_matrix(ctx: OracleContext) -> np.ndarray:
     return ctx.hadamard
 
 
-def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256) -> np.ndarray:
+def contour_coupling_matrix(ctx: OracleContext) -> np.ndarray:
     """Same block as ``residue_coupling_matrix`` but via trapezoid quadrature
     of the diagonal-resolvent contour integral over the ``enclosing_circle``
     of both kept spectra; independent numerical route."""
@@ -250,7 +246,7 @@ def contour_coupling_matrix(ctx: OracleContext, nodes: int = 256) -> np.ndarray:
     outside = np.concatenate([ctx.part.lambda2, ctx.part_tilde.lambda2])
     if np.min(np.abs(inside[:, np.newaxis] - outside[np.newaxis, :])) == 0.0:
         raise GapViolated("contour_coupling_matrix: kept and complement spectra meet")
-    contour = enclosing_circle(inside, outside, nodes)
+    contour = enclosing_circle(inside, outside)
     _check_separation(np.concatenate([inside, outside]), contour)
     core = ctx.cross
     pts, weights = contour.points()

@@ -170,7 +170,8 @@ def _side1_indices(lam: np.ndarray, sel: Selector) -> list[int]:
 
 def _build(ed: EigenDecomposition, idx1: list[int]) -> SpectralPartition:
     n = ed.n
-    idx2 = [i for i in range(n) if i not in set(idx1)]
+    kept = set(idx1)
+    idx2 = [i for i in range(n) if i not in kept]
     x1, x2 = ed.x[:, idx1], ed.x[:, idx2]
     v1, v2 = ed.v[:, idx1], ed.v[:, idx2]
     return SpectralPartition(
@@ -214,8 +215,10 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
     cost = np.abs(lam_t[:, np.newaxis] - lam_base[np.newaxis, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     assigned_base = dict(zip(rows.tolist(), cols.tolist()))
-    side1 = sorted(i for i, j in assigned_base.items() if j in set(base.idx1))
-    side2 = [i for i in range(lam_t.shape[0]) if i not in set(side1)]
+    base1 = set(base.idx1)
+    side1 = sorted(i for i, j in assigned_base.items() if j in base1)
+    kept = set(side1)
+    side2 = [i for i in range(lam_t.shape[0]) if i not in kept]
     scale = float(max(np.max(np.abs(lam_t)), np.max(np.abs(lam_base)), 1e-300))
     for i in side1:
         for k in side2:

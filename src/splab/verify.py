@@ -232,7 +232,7 @@ def run_contour_suite(base_seed: int) -> list[dict]:
     a_rand, da_rand, r_rand = random_clustered_case(base_seed)
     ctx = build_oracle_context(a_rand, da_rand, TopKMagnitude(r_rand), NearestAssignment())
     res_path = residue_coupling_matrix(ctx)
-    quad_path = contour_coupling_matrix(ctx, nodes=256)
+    quad_path = contour_coupling_matrix(ctx)
     records.append(_record("residue-vs-quadrature", base_seed,
                            float(np.linalg.norm(res_path - quad_path, 2)),
                            QUAD_TOL))
@@ -256,10 +256,15 @@ SUITES = {
 }
 
 
+# default case count of each suite that takes one; the others run a fixed list
+CASES = {"lemma32": 100, "lemma33": 100, "dominance": 300}
+
+
 def run_suite(name: str, seed: int, cases: int | None = None) -> list[dict]:
-    """Run suite ``name``; ``cases`` of None takes the suite's default count."""
+    """Run suite ``name``; ``cases`` of None takes the count in ``CASES``.
+    A case count for a suite not in ``CASES`` raises SpecViolation."""
     if name not in SUITES:
         raise SpecViolation(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    defaults = {"lemma32": 100, "lemma33": 100, "dominance": 300}
-    n_cases = cases if cases is not None else defaults.get(name, 0)
-    return SUITES[name](seed, n_cases)
+    if cases is not None and name not in CASES:
+        raise SpecViolation(f"verify {name} runs a fixed case list; --cases does not apply")
+    return SUITES[name](seed, CASES.get(name, 0) if cases is None else cases)

@@ -162,6 +162,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
     assert run_cli("verify", "lemma32", "--cases", "-3") == 1
     assert run_cli("verify", "lemma32", "--cases", "0") == 1
+    # the fixed-list suites take no case count
+    for suite in ("contour", "scaling"):
+        capsys.readouterr()
+        out = tmp_path / f"{suite}.json"
+        assert run_cli("verify", suite, "--cases", "50", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"splab: verify {suite} runs a fixed case list; --cases does not apply\n")
+        assert not out.exists()
     # the JSON-only sweeps refuse an explicit --format csv
     for family in ("special", "v2necessity"):
         capsys.readouterr()

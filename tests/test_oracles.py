@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from splab.bounds import Analysis, analyze
 from splab.errors import EnclosureViolated, GapViolated
 from splab.experiments import Example11, gen_example, gen_unit_perturbation
-from splab.linalg import eig
+from splab.linalg import cond2, eig
 from splab.oracles import (
     Contour,
+    OracleContext,
     brute_force_sin_theta,
     build_oracle_context,
     contour_coupling_matrix,
@@ -56,6 +59,44 @@ def test_reciprocal_gap_hand_table_and_coincidence():
     assert np.allclose(f, expected, atol=1e-14)
     with pytest.raises(GapViolated):
         reciprocal_gap_matrix([1.0, 2.0], [2.0])
+
+
+# --- the context is the analysis ---
+
+def _same_bits(x, y) -> bool:
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            _same_bits(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+    return type(x) is type(y) and x == y
+
+
+def test_context_is_the_analysis_bit_for_bit():
+    assert dataclasses.fields(OracleContext) == dataclasses.fields(Analysis)
+    for seed in range(100):
+        a, da, r = random_diagonalizable_case(seed)
+        ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment())
+        run = analyze(a, da, TopKMagnitude(r), NearestAssignment())
+        assert isinstance(ctx, Analysis)
+        for f in dataclasses.fields(Analysis):
+            assert _same_bits(getattr(ctx, f.name), getattr(run, f.name)), (seed, f.name)
+
+
+def test_kprod_matches_condition_numbers_of_the_r_factors():
+    for seed in range(100):
+        a, da, r = random_diagonalizable_case(seed)
+        ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment())
+        ref = cond2(ctx.part.qr_v2.r) * cond2(ctx.part_tilde.qr_x1.r)
+        assert ctx.kprod == pytest.approx(ref, rel=1e-12, abs=0.0), seed
+
+
+def test_context_raises_gap_violated_on_a_coincident_pair():
+    # A + dA = I: the perturbed kept eigenvalue 1 is A's complement eigenvalue
+    a = np.diag([2.0, 1.0]).astype(np.complex128)
+    da = np.diag([-1.0, 0.0]).astype(np.complex128)
+    with pytest.raises(GapViolated, match="coincident eigenvalues"):
+        build_oracle_context(a, da, TopKMagnitude(1))
 
 
 # --- Hadamard-form identity ---
@@ -156,9 +197,9 @@ def test_contour_projector_example11_and_side2():
     ed = eig(a)
     part = partition(ed, TopKMagnitude(2))
     contour = Contour(center=1.0, radius=0.3, nodes=256)
-    proj = contour_projector(a, ed, contour, side=1)
+    proj = contour_projector(a, ed, contour)
     assert np.linalg.norm(proj - part.x1 @ part.v1.conj().T, 2) <= 1e-8
-    proj2 = contour_projector(a, ed, contour, side=2)
+    proj2 = np.eye(3) - proj
     assert np.linalg.norm(proj2 - part.x2 @ part.v2.conj().T, 2) <= 1e-8
 
 
@@ -201,12 +242,12 @@ def test_residue_vs_quadrature_zero_and_seeded():
     ctx0 = build_oracle_context(a, np.zeros((3, 3), dtype=np.complex128),
                                 TopKMagnitude(2))
     assert np.linalg.norm(residue_coupling_matrix(ctx0), 2) == 0.0
-    assert np.linalg.norm(contour_coupling_matrix(ctx0, nodes=128), 2) <= 1e-14
+    assert np.linalg.norm(contour_coupling_matrix(ctx0), 2) <= 1e-14
 
     a, da, r = random_clustered_case(4242)
     ctx = build_oracle_context(a, da, TopKMagnitude(r), NearestAssignment())
     res = residue_coupling_matrix(ctx)
-    quad = contour_coupling_matrix(ctx, nodes=256)
+    quad = contour_coupling_matrix(ctx)
     assert np.linalg.norm(res - quad, 2) <= 1e-8
 
 
