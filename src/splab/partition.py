@@ -240,11 +240,6 @@ def gap_delta1(lambda1, lambda2) -> float:
     return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
 
 
-# eigenvalue-centre pairs per _disk_margins call on the grid, which bounds the
-# memory of the grid search at large n (below 24 eigenvalues it is one call)
-GRID_PAIRS_PER_CALL = 2**20
-
-
 def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """max of the two directional disk-separation margins at each center."""
     d1 = np.abs(l1[:, np.newaxis] - t[np.newaxis, :])
@@ -254,18 +249,69 @@ def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     return np.maximum(inside1, inside2)
 
 
+# rounding slack, times the largest centre-eigenvalue distance, within which a
+# screened grid margin may fall short of the screened maximum and still be
+# evaluated exactly.  A screened distance lies within 3u (u = eps/2) of the
+# distance of the same float offsets and np.abs within 4u, so with the two
+# subtractions a margin moves by under 16u, and the exact argmax's screened
+# margin lies within 32u of the screened maximum: 256u leaves a factor of 8.
+SCREEN_SLACK = 2 * 64 * np.finfo(np.float64).eps
+
+
+def _distance_extremes(res: np.ndarray, ims: np.ndarray, lam: np.ndarray,
+                       unit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest distance, in ``unit``, from each centre of the grid
+    ims x res to the eigenvalues ``lam``, from squared distances: one running
+    minimum and maximum, so memory is O(grid) at any n."""
+    lo = np.full((ims.size, res.size), np.inf)
+    hi = np.zeros((ims.size, res.size))
+    sq = np.empty((ims.size, res.size))
+    for z in lam:
+        np.add((((ims - z.imag) / unit) ** 2)[:, np.newaxis],
+               (((res - z.real) / unit) ** 2)[np.newaxis, :], out=sq)
+        np.minimum(lo, sq, out=lo)
+        np.maximum(hi, sq, out=hi)
+    return np.sqrt(lo, out=lo), np.sqrt(hi, out=hi)
+
+
+def _grid_argmax(res: np.ndarray, ims: np.ndarray, l1: np.ndarray, l2: np.ndarray,
+                 unit: float) -> tuple[complex, float]:
+    """First-occurrence argmax of ``_disk_margins`` over the row-major grid
+    ``res[None, :] + 1j * ims[:, None]``: its centre and value, bit for bit.  Every centre is screened in units of ``unit`` (the squares
+    neither overflow nor underflow); only those within ``SCREEN_SLACK`` of the
+    screened maximum are evaluated exactly, and they include every exact
+    argmax."""
+    lo1, hi1 = _distance_extremes(res, ims, l1, unit)
+    lo2, hi2 = _distance_extremes(res, ims, l2, unit)
+    screened = np.maximum(lo2 - hi1, lo1 - hi2).reshape(-1)
+    slack = SCREEN_SLACK * max(float(hi1.max()), float(hi2.max()))
+    cand = np.flatnonzero(screened >= screened.max() - slack)
+    centres = res[cand % res.size] + 1j * ims[cand // res.size]
+    vals = _disk_margins(centres, l1, l2)
+    best = int(np.argmax(vals))
+    return complex(centres[best]), float(vals[best])
+
+
 def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     """Best disk-separation margin over all disk centers, with its witness.
 
-    Two-stage search: a dense grid over the 50%-inflated bounding box of the
-    joint spectrum (pitch = diameter/200, first-occurrence tie break), then a
-    Nelder-Mead refinement to 1e-8 * diameter.  The value is clamped at zero;
-    the reported maximum is a certified lower bound on the supremum.
+    When one side is a single eigenvalue the answer is exact: every margin is
+    at most ``gap_delta1`` (triangle inequality), and a vanishing disk on the
+    lone eigenvalue attains it, so that eigenvalue is the witness.
+
+    Otherwise a two-stage search.  First the best centre of a grid over the
+    50%-inflated bounding box of the joint spectrum (pitch = diameter/200,
+    first-occurrence tie break), found by ``_grid_argmax``'s screen.  Then a
+    Nelder-Mead refinement from that centre to 1e-8 * diameter.  The value is
+    clipped to [0, ``gap_delta1``], so it is a certified lower bound on the
+    supremum.
     """
     l1 = np.atleast_1d(np.asarray(lambda1, dtype=np.complex128))
     l2 = np.atleast_1d(np.asarray(lambda2, dtype=np.complex128))
     if l1.size == 0 or l2.size == 0:
         raise EmptySide("gap_delta0: both spectral sets must be nonempty")
+    if l1.size == 1 or l2.size == 1:
+        return gap_delta1(l1, l2), complex((l1 if l1.size == 1 else l2)[0])
     pts = np.concatenate([l1, l2])
     re_lo, re_hi = float(pts.real.min()), float(pts.real.max())
     im_lo, im_hi = float(pts.imag.min()), float(pts.imag.max())
@@ -282,15 +328,12 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
         else np.array([re_c])
     ims = np.arange(im_c - half_h, im_c + half_h + 0.5 * pitch, pitch) if half_h > 0 \
         else np.array([im_c])
-    grid = (res[np.newaxis, :] + 1j * ims[:, np.newaxis]).reshape(-1)
-    chunk = max(1, GRID_PAIRS_PER_CALL // pts.size)
-    vals = np.concatenate([_disk_margins(grid[k:k + chunk], l1, l2)
-                           for k in range(0, grid.size, chunk)])
-    best = int(np.argmax(vals))
-    t_best, f_best = complex(grid[best]), float(vals[best])
+    t_best, f_best = _grid_argmax(res, ims, l1, l2, diam)
 
     def negated(xy):
-        return -float(_disk_margins(np.array([complex(xy[0], xy[1])]), l1, l2)[0])
+        t = complex(xy[0], xy[1])
+        d1, d2 = np.abs(l1 - t).tolist(), np.abs(l2 - t).tolist()
+        return -max(min(d2) - max(d1), min(d1) - max(d2))
 
     opt = scipy.optimize.minimize(
         negated,

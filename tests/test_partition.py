@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from splab.partition import (
     NearestAssignment,
     SameSelector,
     TopKMagnitude,
+    _disk_margins,
     format_selector,
     gap_delta0,
     gap_delta1,
@@ -237,6 +239,85 @@ def test_gap_delta0_grid_memory_is_bounded_at_large_n():
         tracemalloc.stop()
     assert 0.0 < value <= gap_delta1(lam[:30], lam[30:])
     assert peak < 40e6
+
+
+def test_gap_delta0_lone_eigenvalue_is_exact():
+    # one side a single eigenvalue: delta0 = delta1, attained by a vanishing
+    # disk on that eigenvalue, so the witness is the eigenvalue itself
+    cases = [([0.5], [1.1, 0.9]), ([1.1, 0.9, -0.3], [0.5]),
+             ([0.25 - 0.5j], [1 + 1j, -2j, 3.0]), ([1 + 1j, -2j, 3.0], [0.25 - 0.5j]),
+             ([2.0], [2.0, 1.0, 2.0]), ([1.0], [1.0]), ([1j, 1j], [1j])]
+    g = SplitMix64(11)
+    for _ in range(50):
+        z = g.complex_normals(1, g.integer(2, 7))[0]
+        cases.append((z[:1], z[1:]) if g.integer(0, 1) else (z[1:], z[:1]))
+    for l1, l2 in cases:
+        l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+        value, witness = gap_delta0(l1, l2)
+        assert value == gap_delta1(l1, l2)
+        assert witness == complex((l1 if l1.size == 1 else l2)[0])
+        assert float(_disk_margins(np.array([witness]), l1, l2)[0]) == value
+    assert gap_delta0([1.0], [1.0]) == (0.0, 1.0)
+
+
+def test_gap_delta0_screened_grid_is_the_full_grid_argmax(monkeypatch):
+    # the screen must hand Nelder-Mead the same start as an exact evaluation
+    # of every grid centre: the first-occurrence argmax, same value bits
+    module = importlib.import_module("splab.partition")
+    seen = []
+
+    def spy(res, ims, l1, l2, unit):
+        out = grid_argmax(res, ims, l1, l2, unit)
+        seen.append((res, ims, l1, l2, out))
+        return out
+
+    grid_argmax = module._grid_argmax
+    monkeypatch.setattr(module, "_grid_argmax", spy)
+    g = SplitMix64(23)
+    cases = [
+        ([1 + 1j, -1 - 1j], [1 - 1j, -1 + 1j]),  # symmetric square, split diagonally
+        ([0.0, 0.3], [1.0, 2.5, 0.7]),  # real only: one grid row
+        ([0.5j, -1j], [2j, 3j]),  # imaginary only: one grid column
+        ([1e-160 + 2e-160j, -1e-160], [3e-160j, 2e-160 - 1e-160j]),  # tiny scale
+        ([1e150 + 2e150j, -1e150], [3e150j, 2e150 - 1e150j]),  # huge scale
+    ]
+    for _ in range(20):  # rounded: exact ties between grid centres
+        z = np.round(2 * g.complex_normals(1, g.integer(4, 7))[0]) / 2
+        cases.append((z[:2], z[2:]))
+    for _ in range(200):
+        n1 = g.integer(2, 4)
+        z = g.complex_normals(1, n1 + g.integer(2, 4))[0]
+        cases.append((z[:n1], z[n1:]))
+    for l1, l2 in cases:
+        gap_delta0(l1, l2)
+    assert len(seen) == len(cases)
+    for res, ims, l1, l2, (centre, value) in seen:
+        grid = (res[np.newaxis, :] + 1j * ims[:, np.newaxis]).reshape(-1)
+        full = _disk_margins(grid, l1, l2)
+        best = int(np.argmax(full))
+        assert centre == grid[best] and value == full[best]
+    assert any(res.size == 1 for res, *_ in seen) and any(ims.size == 1 for _, ims, *_ in seen)
+
+
+def test_gap_delta0_general_case_keeps_its_nelder_mead_path():
+    # (delta0, t0_star) of three general-case spectra as computed before the
+    # grid was screened; a changed Nelder-Mead start or path moves the witness
+    def oracle_draw(seed):  # the grid-oracle test's draw
+        g = SplitMix64(seed)
+        n1, n2 = g.integer(1, 4), g.integer(1, 4)
+        lam = np.array([complex(2 * g.uniform() - 1, 2 * g.uniform() - 1)
+                        for _ in range(n1 + n2)])
+        return lam[:n1], lam[n1:]
+
+    z = SplitMix64(1).complex_normals(1, 12)[0]
+    z = z[np.argsort(-np.abs(z), kind="stable")]
+    for (l1, l2), value, witness in (
+        (oracle_draw(7083), 0.7643668187413553, 0.8465282376705183 - 1.7446214943815694j),
+        (oracle_draw(7188), 0.431708203823864, 5.823166991082887 + 1.8920736079862275j),
+        ((z[:4], z[4:]), 0.30474710058932986, -0.2905812065132425 - 0.0430505879315598j),
+    ):
+        assert min(l1.size, l2.size) >= 2
+        assert gap_delta0(l1, l2) == (value, witness)
 
 
 def test_delta_lambda_stable_under_all_unit_perturbations():
