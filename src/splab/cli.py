@@ -8,8 +8,8 @@ boundary), 2 an assumption flag fired (the report is still written),
 
 Every numerical threshold is a constant beside the check that reads it
 (``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
-what counts as a valid input.  A run is reproduced by its command line and
-``SPLAB_SEED``, which sets the seed when ``--seed`` is absent.
+what counts as a valid input.  Nothing is read from the environment: a run
+is reproduced by its command line alone, and ``--seed`` defaults to 42.
 ``sweep --format`` applies to table1 and tightness (CSV by default);
 v2necessity and special write JSON only, and refuse an explicit
 ``--format csv``.  ``verify --cases`` applies to the suites in
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -68,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unit:i,j,EPS | gaussian:NORM | file:PATH")
     p_rep.add_argument("--select", required=True)
     p_rep.add_argument("--match", choices=["same", "nearest"], default="same")
-    p_rep.add_argument("--seed", type=int, default=None)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", help=" | ".join(verify.SUITES))
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--cases", type=int, default=None)
     p_ver.add_argument("--out", default=None)
 
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("family", help="table1 | tightness | v2necessity | special")
     p_sw.add_argument("--eps-list", default="1e-2,1e-4,1e-6,1e-8,1e-10")
     p_sw.add_argument("--norm", type=float, default=1e-6)
-    p_sw.add_argument("--seed", type=int, default=None)
+    p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sw.add_argument("--r", type=int, default=2)
     p_sw.add_argument("--delta-list", default="0.2,0.1,0.05")
     p_sw.add_argument("--eps-rule", type=float, default=0.01)
@@ -104,18 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--format", choices=["json", "csv"], default=None)
     p_sw.add_argument("--out", default=None)
     return parser
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("SPLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"SPLAB_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -153,10 +140,9 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    seed = _resolve_seed(args.seed)
     a = io.load_matrix(args.input)
     selector = parse_selector(args.select)
-    da = _parse_perturbation(args.perturb, a.shape[0], seed)
+    da = _parse_perturbation(args.perturb, a.shape[0], args.seed)
     match = SameSelector(selector) if args.match == "same" else NearestAssignment()
     report = full_report(a, da, selector, match=match)
     _emit(json.dumps(io.report_to_obj(report), indent=2) + "\n", args.out)
@@ -168,7 +154,7 @@ def _cmd_report(args) -> int:
 def _cmd_verify(args) -> int:
     if args.cases is not None and args.cases < 1:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
-    records = verify.run_suite(args.suite, _resolve_seed(args.seed), args.cases)
+    records = verify.run_suite(args.suite, args.seed, args.cases)
     _emit(io.records_to_json(records), args.out)
     failed = [rec for rec in records if not rec["pass"]]
     if failed:
@@ -214,16 +200,15 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
     family = args.family.lower()
     if family in ("v2necessity", "special") and args.format == "csv":
         raise _UsageError(f"sweep {family} writes JSON only; --format csv does not apply")
     if family == "table1":
         eps_list = _float_list(args.eps_list, "--eps-list")
-        result = experiments.run_table1_sweep(eps_list, args.norm, seed)
+        result = experiments.run_table1_sweep(eps_list, args.norm, args.seed)
     elif family == "tightness":
         deltas = _float_list(args.delta_list, "--delta-list")
-        result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule, seed)
+        result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule, args.seed)
     elif family == "v2necessity":
         record = experiments.run_v2_necessity(args.delta, args.delta1, args.eps, n=args.n)
         _emit(io.records_to_json([record]), args.out)
@@ -254,10 +239,7 @@ def main(argv=None) -> int:
             "sweep": _cmd_sweep,
         }
         return handlers[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"splab: {exc}\n")
-        return EXIT_USAGE
-    except (InvalidMatrix, SpecViolation, IndexOutOfRange, EmptySide,
+    except (_UsageError, InvalidMatrix, SpecViolation, IndexOutOfRange, EmptySide,
             BoundaryAmbiguity, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE

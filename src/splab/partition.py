@@ -317,9 +317,8 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     im_lo, im_hi = float(pts.imag.min()), float(pts.imag.max())
     width, height = re_hi - re_lo, im_hi - im_lo
     diam = float(np.hypot(width, height))
-    if diam == 0.0:
-        t0 = complex(pts[0])
-        return max(float(_disk_margins(np.array([t0]), l1, l2)[0]), 0.0), t0
+    if diam == 0.0:  # one point: every distance, hence every margin, is 0
+        return 0.0, complex(pts[0])
 
     re_c, im_c = 0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)
     half_w, half_h = 0.75 * width, 0.75 * height  # 50% inflation

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,20 +357,24 @@ def test_thresholds_cannot_be_overridden(tmp_path, capsys):
             assert not out.exists()
 
 
-def test_seed_env_var_used_when_flag_absent(tmp_path, monkeypatch):
+def test_seed_env_var_is_ignored(tmp_path):
+    # a run is reproduced by its command line alone: SPLAB_SEED must change no
+    # output byte and break no command
     a_path = tmp_path / "a.json"
     run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path))
-    r1, r2, r3 = (tmp_path / f"r{i}.json" for i in range(3))
-    monkeypatch.setenv("SPLAB_SEED", "7")
-    run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
-            "--select", "topk:2", "--out", str(r1))
-    run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
-            "--select", "topk:2", "--seed", "42", "--out", str(r2))
-    monkeypatch.delenv("SPLAB_SEED")
-    run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
-            "--select", "topk:2", "--seed", "7", "--out", str(r3))
-    a = json.loads(r1.read_text())["measured_sin"]
-    b = json.loads(r2.read_text())["measured_sin"]
-    c = json.loads(r3.read_text())["measured_sin"]
-    assert a == c
-    assert a != b
+    src = Path(__file__).resolve().parents[1] / "src"
+    report = [sys.executable, "-m", "splab.cli", "report", "--input", str(a_path),
+              "--perturb", "gaussian:1e-6", "--select", "topk:2"]
+
+    def run(argv, seed_env):
+        env = dict(os.environ, SPLAB_SEED=seed_env, PYTHONPATH=str(src))
+        return subprocess.run(argv, env=env, capture_output=True, check=False)
+
+    from_env = run(report, "7")
+    default = run(report + ["--seed", "42"], "7")
+    assert from_env.returncode == default.returncode == 0
+    assert from_env.stdout == default.stdout and from_env.stderr == default.stderr
+    assert run(report + ["--seed", "7"], "7").stdout != default.stdout
+    special = run([sys.executable, "-m", "splab.cli", "sweep", "special",
+                   "--out", str(tmp_path / "sp.json")], "not-a-seed")
+    assert special.returncode == 0, special.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splab.bounds import full_report
 from splab.errors import IndexOutOfRange, SpecViolation
 from splab.experiments import (
     Example11,
@@ -42,6 +43,9 @@ def test_example11_display_and_facts():
     overlap = np.linalg.svd(np.linalg.qr(span)[0].conj().T @ part.qr_x1.q,
                             compute_uv=False)
     assert np.allclose(overlap, 1.0, atol=1e-10)
+    # V2 has one column, so its condition number is exactly 1
+    assert full_report(a, np.zeros_like(a), facts.selector).kappa_V2 == \
+        facts.kappa_v2_leading == 1.0
 
 
 def test_tight_family_displays():
@@ -63,6 +67,9 @@ def test_tight_family_displays():
     assert facts3.perturbation[3, 2] == 1e-5
     assert facts3.witness[0] == 1.0
     assert facts3.witness[-1] == pytest.approx((1e-5) / (6 * 0.1 ** 3), rel=1e-12)
+    for mat, fam in ((a, facts), (a3, facts3)):
+        assert full_report(mat, fam.perturbation, fam.selector).kappa_V2 == \
+            fam.kappa_v2_leading == 1.0
 
 
 def test_tight_family_analytic_facts_match_computed_subspace():
@@ -93,6 +100,14 @@ def test_necessity_family_displays():
     # analytic dual-basis conditioning: kappa2(V2) ~ 1/delta1
     part = partition(eig(a), TopKMagnitude(1))
     assert cond2(part.v2) == pytest.approx(1.0 / 0.05, rel=0.05)
+    # the recorded leading term 1/delta1 is off by O(delta1^2), relatively
+    for delta1 in (0.1, 0.01, 0.001):
+        for spec in (V2Necessity3(delta=0.05, delta1=delta1, eps=1e-6),
+                     V2NecessityN(n=5, delta=0.05, delta1=delta1, eps=1e-6)):
+            mat, fam = gen_example(spec)
+            kappa = full_report(mat, fam.perturbation, fam.selector).kappa_V2
+            assert fam.kappa_v2_leading == 1.0 / delta1
+            assert abs(kappa / fam.kappa_v2_leading - 1.0) <= 2.0 * delta1 ** 2
 
 
 def test_generator_guards():

@@ -187,6 +187,7 @@ def test_gap_delta0_example11():
 def test_gap_delta0_degenerate_and_clusters():
     val, _ = gap_delta0([1.0], [1.0])
     assert val == 0.0
+    assert gap_delta0([1, 1], [1, 1]) == (0.0, 1 + 0j)
     val, _ = gap_delta0([0.0, 0.1], [1.0, 1.1])
     assert val == pytest.approx(0.9, abs=1e-8)
 
