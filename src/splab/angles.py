@@ -4,6 +4,11 @@ Cosines come from the singular values of Q1* Q2; sines come from the
 orthogonal-complement product Q1perp* Q2, which is the numerically accurate
 route for small angles (sqrt(1 - cos^2) loses half the significant digits
 there).  The two routes are cross-checked against each other.
+
+Every Q factor is checked for orthonormality once, on entry.  That check and
+the complement's coupling check are certified cheap-first: each accepts on
+the Frobenius norm of its defect, which bounds the 2-norm from above, and
+measures the exact 2-norm (for the message) only when that does not decide.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckFailure, NotOrthonormal, ShapeMismatch
-from .linalg import as_matrix, singular_values
+from .linalg import _norm2_exceeds, as_matrix, singular_values
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,8 @@ def _check_orthonormal(q: np.ndarray, name: str) -> np.ndarray:
     q = as_matrix(q, name)
     if q.shape[0] < q.shape[1]:
         raise ShapeMismatch(f"{name}: more columns than rows, {q.shape}")
-    gram = q.conj().T @ q
-    defect = float(np.linalg.norm(gram - np.eye(q.shape[1]), 2))
-    if defect > ORTH_TOL * q.shape[1]:
+    defect = _norm2_exceeds(q.conj().T @ q - np.eye(q.shape[1]), ORTH_TOL * q.shape[1])
+    if defect is not None:
         raise NotOrthonormal(f"{name}: orthonormality defect {defect:.3e}")
     return q
 
@@ -50,13 +54,18 @@ def _check_orthonormal(q: np.ndarray, name: str) -> np.ndarray:
 def orth_complement(q) -> np.ndarray:
     """Orthonormal basis of the complement; [Q, Qperp] is unitary."""
     q = _check_orthonormal(q, "Q")
-    n, r = q.shape
-    if r >= n:
+    if q.shape[1] >= q.shape[0]:
         raise ShapeMismatch(f"orth_complement: no complement for shape {q.shape}")
+    return _complement(q)
+
+
+def _complement(q: np.ndarray) -> np.ndarray:
+    """``orth_complement`` of an already checked Q with fewer columns than rows."""
+    n, r = q.shape
     full, _ = np.linalg.qr(q, mode="complete")
     comp = full[:, r:]
-    defect = float(np.linalg.norm(q.conj().T @ comp, 2))
-    if defect > ORTH_TOL * n:
+    defect = _norm2_exceeds(q.conj().T @ comp, ORTH_TOL * n)
+    if defect is not None:
         raise NotOrthonormal(f"orth_complement: residual coupling {defect:.3e}")
     return comp
 
@@ -73,7 +82,7 @@ def _angles(q1: np.ndarray, q2: np.ndarray) -> SubspaceDistance:
     """Principal angles of a checked pair."""
     n, r = q1.shape
     cosines = np.clip(singular_values(q1.conj().T @ q2), 0.0, 1.0)
-    comp_sv = singular_values(orth_complement(q1).conj().T @ q2) if r < n \
+    comp_sv = singular_values(_complement(q1).conj().T @ q2) if r < n \
         else np.zeros(0)
     sines = np.zeros(r)
     # largest sines pair with the smallest cosines
@@ -99,13 +108,15 @@ def sin_theta_norm(q1, q2) -> float:
     ||Q1perp* Q2|| clipped to [0, 1].  It is compared against the symmetric ||Q2perp* Q1|| and (in
     squared form, which avoids the 1/sin error amplification at tiny angles)
     against 1 - sigma_min(Q1* Q2)^2.  Disagreement beyond ``CROSS_TOL``
-    signals orthonormality loss upstream.
+    signals orthonormality loss upstream.  Q1 and Q2 are checked for
+    orthonormality once, on entry; their complements are built without
+    checking them again.
     """
     q1, q2 = _checked_pair(q1, q2, "sin_theta_norm")
     n, r = q1.shape
     dist = _angles(q1, q2)
     value = dist.sin_norm
-    sym = float(singular_values(orth_complement(q2).conj().T @ q1)[0]) if r < n \
+    sym = float(singular_values(_complement(q2).conj().T @ q1)[0]) if r < n \
         else 0.0
     smin = float(dist.cosines[-1])
     sq_alt = 1.0 - smin * smin

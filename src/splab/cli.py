@@ -10,6 +10,8 @@ Every numerical threshold is a constant beside the check that reads it
 (``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
 what counts as a valid input.  Nothing is read from the environment: a run
 is reproduced by its command line alone, and ``--seed`` defaults to 42.
+A seed must lie in [0, 2^64), and so must the seed of every case ``verify``
+runs (case k runs on seed + k); anything else exits 1.
 ``sweep --format`` applies to table1 and tightness (CSV by default);
 v2necessity and special write JSON only, and refuse an explicit
 ``--format csv``.  ``verify --cases`` applies to the suites in
@@ -39,6 +41,9 @@ EXIT_ASSUMPTION = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_SEED = 42
+# SplitMix64 keeps the low 64 bits of a seed, so a seed outside [0, 2^64)
+# would silently reproduce another seed's draws
+SEED_LIMIT = 1 << 64
 
 
 class _UsageError(Exception):
@@ -50,6 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"{seed} lies outside [0, 2**64)")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unit:i,j,EPS | gaussian:NORM | file:PATH")
     p_rep.add_argument("--select", required=True)
     p_rep.add_argument("--match", choices=["same", "nearest"], default="same")
-    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_rep.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_rep.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", help=" | ".join(verify.SUITES))
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_ver.add_argument("--cases", type=int, default=None)
     p_ver.add_argument("--out", default=None)
 
@@ -91,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("family", help="table1 | tightness | v2necessity | special")
     p_sw.add_argument("--eps-list", default="1e-2,1e-4,1e-6,1e-8,1e-10")
     p_sw.add_argument("--norm", type=float, default=1e-6)
-    p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sw.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_sw.add_argument("--r", type=int, default=2)
     p_sw.add_argument("--delta-list", default="0.2,0.1,0.05")
     p_sw.add_argument("--eps-rule", type=float, default=0.01)
@@ -154,6 +169,10 @@ def _cmd_report(args) -> int:
 def _cmd_verify(args) -> int:
     if args.cases is not None and args.cases < 1:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
+    cases = verify.CASES.get(args.suite, 1) if args.cases is None else args.cases
+    if args.seed + cases - 1 >= SEED_LIMIT:
+        raise _UsageError(f"--seed {args.seed}: case {cases - 1} would run on a seed "
+                          f"past 2**64 - 1")
     records = verify.run_suite(args.suite, args.seed, args.cases)
     _emit(io.records_to_json(records), args.out)
     failed = [rec for rec in records if not rec["pass"]]

@@ -8,6 +8,8 @@ orderings and validity checks on top of them are what this module owns.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +61,29 @@ class EigenDecomposition:
     ``v`` is (X^{-1})^* so that v.conj().T @ x == I; ``lam`` is sorted by
     descending magnitude with ties broken by descending real part, then
     descending imaginary part.  Each eigenvector's largest-magnitude entry
-    is rotated to be real positive.  ``a_norm`` is ||A||_2 of the decomposed
-    matrix, measured for the residual check.
+    is rotated to be real positive.  ``a`` is the decomposed matrix.
+
+    ``a_norm`` (||A||_2) and ``kappa_x`` (kappa2(X)) are measured by an SVD on
+    first access and kept: ``eig``'s own checks settle for cheap bounds on
+    them, so a caller that reads neither pays for neither.
     """
 
     x: np.ndarray
     lam: np.ndarray
     v: np.ndarray
-    kappa_x: float
-    a_norm: float
+    a: np.ndarray
 
     @property
     def n(self) -> int:
         return self.lam.shape[0]
+
+    @functools.cached_property
+    def a_norm(self) -> float:
+        return float(np.linalg.norm(self.a, 2))
+
+    @functools.cached_property
+    def kappa_x(self) -> float:
+        return _kappa2(self.x)
 
 
 def singular_values(z) -> np.ndarray:
@@ -144,12 +156,62 @@ EIG_TOL = 1e-10
 # kappa2(X) beyond this: the input is taken as not diagonalizable (Jordan-like)
 KAPPA_CAP = 1e13
 
+# A cheap test stays this far inside its limit.  A rounded ||M||_F, |lambda_1|
+# or ||A||_F/sqrt(n) is off by a few n*eps relative, so a cheap pass never
+# accepts what the exact, rounded 2-norm would reject.
+_ROUNDING_ROOM = 1.0 - 1e-8
+
+
+def _norm2_exceeds(m: np.ndarray, limit: float) -> float | None:
+    """||m||_2 when it exceeds ``limit``, else None.
+
+    ||m||_2 <= ||m||_F, so the SVD runs only when the Frobenius norm does not
+    already clear the limit; a returned value is always the exact 2-norm.
+    """
+    with np.errstate(all="ignore"):
+        if np.linalg.norm(m) <= limit * _ROUNDING_ROOM:
+            return None
+    norm2 = float(np.linalg.norm(m, 2))
+    return norm2 if norm2 > limit else None
+
+
+def _kappa2(x: np.ndarray) -> float:
+    s = np.linalg.svd(x, compute_uv=False)
+    if s[-1] == 0.0:
+        raise NotDiagonalizable("eig: eigenvector basis is exactly singular")
+    return float(s[0] / s[-1])
+
+
+def _checked_inverse(x: np.ndarray) -> np.ndarray:
+    """X^{-1} of a unit-column basis X; raises NotDiagonalizable when
+    kappa2(X) exceeds ``KAPPA_CAP``.
+
+    kappa2(X) <= ||X||_F ||X^{-1}||_F = sqrt(n) ||X^{-1}||_F.  The computed
+    inverse and sigma_min(X) are off by O(n kappa eps) relative, so the bound
+    is trusted only 1000x under the cap; otherwise (and when inv fails or
+    overflows) kappa2(X) is measured by the SVD.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            x_inv = np.linalg.inv(x)
+            if math.sqrt(x.shape[0]) * np.linalg.norm(x_inv) <= 1e-3 * KAPPA_CAP:
+                return x_inv
+        except np.linalg.LinAlgError:
+            pass
+    kappa = _kappa2(x)
+    if kappa > KAPPA_CAP:
+        raise NotDiagonalizable(f"eig: kappa2(X) = {kappa:.3e} exceeds cap {KAPPA_CAP:.1e}")
+    return np.linalg.inv(x)
+
 
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition with deterministic ordering and phase convention.
 
     Raises NotDiagonalizable when kappa2(X) exceeds ``KAPPA_CAP`` and
-    ConvergenceFailure when the residual checks fail.
+    ConvergenceFailure when the residual checks fail.  Each check first
+    tries a bound that costs no SVD (see ``_norm2_exceeds``); the exact
+    norm is measured only when the bound cannot decide, so every decision
+    and message is the one the exact norms give.
     """
     a = _square(a, "A")
     n = a.shape[0]
@@ -165,19 +227,16 @@ def eig(a) -> EigenDecomposition:
     lead = x[piv, np.arange(n)]
     x = x * (np.conj(lead) / np.abs(lead))[np.newaxis, :]
 
-    s = np.linalg.svd(x, compute_uv=False)
-    if s[-1] == 0.0:
-        raise NotDiagonalizable("eig: eigenvector basis is exactly singular")
-    kappa = float(s[0] / s[-1])
-    if kappa > KAPPA_CAP:
-        raise NotDiagonalizable(f"eig: kappa2(X) = {kappa:.3e} exceeds cap {KAPPA_CAP:.1e}")
-
-    v = np.linalg.inv(x).conj().T
-    a_norm = float(np.linalg.norm(a, 2))
-    resid = float(np.linalg.norm(a @ x - x * w[np.newaxis, :], 2))
-    if a_norm > 0 and resid > EIG_TOL * a_norm:
+    ed = EigenDecomposition(x=x, lam=w, v=_checked_inverse(x).conj().T, a=a)
+    # ||A||_2 >= max(|lambda_1|, ||A||_F / sqrt(n)); no floor if that overflowed
+    with np.errstate(all="ignore"):
+        a_floor = max(abs(w[0]), np.linalg.norm(a) / math.sqrt(n)) * _ROUNDING_ROOM
+    if not np.isfinite(a_floor):
+        a_floor = 0.0
+    resid = _norm2_exceeds(a @ x - x * w[np.newaxis, :], EIG_TOL * a_floor)
+    if resid is not None and ed.a_norm > 0 and resid > EIG_TOL * ed.a_norm:
         raise ConvergenceFailure(f"eig: residual {resid:.3e} exceeds {EIG_TOL:.1e}*||A||")
-    dual = float(np.linalg.norm(v.conj().T @ x - np.eye(n), 2))
-    if dual > EIG_TOL * max(kappa, 1.0):
+    dual = _norm2_exceeds(ed.v.conj().T @ x - np.eye(n), EIG_TOL)
+    if dual is not None and dual > EIG_TOL * max(ed.kappa_x, 1.0):
         raise ConvergenceFailure(f"eig: dual-basis defect {dual:.3e} too large")
-    return EigenDecomposition(x=x, lam=w, v=v, kappa_x=kappa, a_norm=a_norm)
+    return ed

@@ -71,6 +71,16 @@ def test_orth_complement_rejects_bad_input():
         orth_complement(np.eye(3, dtype=np.complex128))
 
 
+def test_orthonormality_check_falls_back_to_the_exact_defect():
+    # column scaling by 1 + d gives gram - I = diag(2d + d^2): its 2-norm is
+    # sqrt(r) times below its Frobenius norm, which exceeds ORTH_TOL * r = 4e-12
+    q = random_orthonormal(4, 6, 4)
+    inside = q * (1.0 + 1.5e-12)
+    assert principal_angles(inside, q).cosines[-1] == pytest.approx(1.0)
+    with pytest.raises(NotOrthonormal, match=r"^Q1: orthonormality defect 5\.00\de-12$"):
+        sin_theta_norm(q * (1.0 + 2.5e-12), q)
+
+
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         principal_angles(random_orthonormal(3, 5, 2), random_orthonormal(4, 5, 3))

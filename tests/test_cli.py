@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,31 @@ def test_numerical_failure_exits_3(tmp_path):
     jordan = tmp_path / "jordan.json"
     save_matrix(jordan, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128))
     assert run_cli("eig", "--input", str(jordan)) == 3
+
+
+NOT_DIAGONALIZABLE = {
+    "nilpotent": ([[0.0, 1.0], [0.0, 0.0]], "9.979e+291"),
+    "jordan3": ([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], "9.007e+15"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_DIAGONALIZABLE))
+def test_not_diagonalizable_exits_3_with_one_line_and_no_warning(tmp_path, capsys, case):
+    # the cheap kappa bound overflows on these inputs; no numpy warning may
+    # reach stderr beside the one error line
+    matrix, kappa = NOT_DIAGONALIZABLE[case]
+    path = tmp_path / "a.json"
+    save_matrix(path, np.array(matrix, dtype=np.complex128))
+    line = (f"splab: NotDiagonalizable: eig: kappa2(X) = {kappa} exceeds cap 1.0e+13\n")
+    for argv in (("eig", "--input", str(path)),
+                 ("report", "--input", str(path), "--perturb", "gaussian:1e-6",
+                  "--select", "topk:1")):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
 
 
 EXAMPLE_FLAGS = {
@@ -378,3 +404,28 @@ def test_seed_env_var_is_ignored(tmp_path):
     special = run([sys.executable, "-m", "splab.cli", "sweep", "special",
                    "--out", str(tmp_path / "sp.json")], "not-a-seed")
     assert special.returncode == 0, special.stderr
+
+
+def test_seeds_outside_64_bits_exit_1(tmp_path, capsys):
+    # SplitMix64 keeps 64 bits of a seed: -1 would replay 2**64 - 1, 2**64 replay 0
+    a_path = tmp_path / "a.json"
+    run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path))
+    report = ("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
+              "--select", "topk:2")
+    last = str(2**64 - 1)
+    for seed in ("-1", str(2**64)):
+        for argv in (report, ("verify", "scaling"), ("sweep", "table1")):
+            capsys.readouterr()
+            out = tmp_path / "out.txt"
+            assert run_cli(*argv, "--seed", seed, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err == f"splab: argument --seed: {seed} lies outside [0, 2**64)\n"
+            assert not out.exists()
+    assert run_cli(*report, "--seed", last) == 0
+    # verify runs case k on seed + k, so every case seed must fit as well
+    assert run_cli("verify", "dominance", "--seed", last, "--cases", "1") == 0
+    capsys.readouterr()
+    for extra in (("--cases", "2"), ()):
+        assert run_cli("verify", "dominance", "--seed", last, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"splab: --seed {last}: case ") and err.count("\n") == 1

@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from splab import linalg
 from splab.errors import (
+    ConvergenceFailure,
     InvalidMatrix,
     NotDiagonalizable,
     RankDeficient,
     ShapeMismatch,
     Singular,
 )
+from splab.experiments import Example11, gen_example
 from splab.linalg import (
+    KAPPA_CAP,
+    _norm2_exceeds,
     as_matrix,
     cond2,
     eig,
@@ -155,3 +162,94 @@ def test_norm_and_cond_examples():
     assert frob == pytest.approx(5.0)
     with pytest.raises(Singular):
         cond2(np.zeros((2, 2), dtype=np.complex128))
+
+
+# --- cheap-first self-checks ---
+
+def test_norm2_exceeds_measures_only_past_the_frobenius_bound():
+    eye = np.eye(4, dtype=np.complex128)
+    # ||I||_F = 2 clears neither 1.5 nor 0.5, so the SVD decides those two
+    assert _norm2_exceeds(eye, 1.5) is None
+    assert _norm2_exceeds(eye, 0.5) == 1.0
+    assert _norm2_exceeds(eye, 2.5) is None
+    m = seeded_complex(11, 5, 3)
+    assert _norm2_exceeds(m, 0.5 * np.linalg.norm(m, 2)) == float(np.linalg.norm(m, 2))
+
+
+def test_eig_norms_are_the_exact_svd_values():
+    for k in range(20):
+        a = seeded_complex(6000 + k, 7, 7)
+        ed = eig(a)
+        assert ed.a is a
+        s = np.linalg.svd(ed.x, compute_uv=False)
+        assert ed.kappa_x == float(s[0] / s[-1])
+        assert ed.a_norm == float(np.linalg.norm(a, 2))
+        assert ed.v.tobytes() == np.linalg.inv(ed.x).conj().T.tobytes()
+
+
+def _exact_verdict(a, ed, tol, cap):
+    """eig's checks decided by exact 2-norms only: None or the failure text."""
+    s = np.linalg.svd(ed.x, compute_uv=False)
+    kappa = float(s[0] / s[-1])
+    if kappa > cap:
+        return f"eig: kappa2(X) = {kappa:.3e} exceeds cap {cap:.1e}"
+    a_norm = float(np.linalg.norm(a, 2))
+    resid = float(np.linalg.norm(a @ ed.x - ed.x * ed.lam[np.newaxis, :], 2))
+    if a_norm > 0 and resid > tol * a_norm:
+        return f"eig: residual {resid:.3e} exceeds {tol:.1e}*||A||"
+    dual = float(np.linalg.norm(ed.v.conj().T @ ed.x - np.eye(a.shape[0]), 2))
+    if dual > tol * max(kappa, 1.0):
+        return f"eig: dual-basis defect {dual:.3e} too large"
+    return None
+
+
+def _verdict(a):
+    try:
+        eig(a)
+    except (ConvergenceFailure, NotDiagonalizable) as exc:
+        return str(exc)
+    return None
+
+
+def test_eig_cheap_checks_decide_as_the_exact_norms(monkeypatch):
+    # thresholds swept across each check's cheap bound and exact value, so
+    # that each check's SVD fallback both accepts and rejects
+    for seed in (7000, 7001, 7002):
+        a = seeded_complex(seed, 6, 6)
+        ed = eig(a)
+        n = a.shape[0]
+        resid = a @ ed.x - ed.x * ed.lam[np.newaxis, :]
+        dual = ed.v.conj().T @ ed.x - np.eye(n)
+        a_floor = max(abs(ed.lam[0]), np.linalg.norm(a) / math.sqrt(n))
+        fallback_hits = {"residual": 0, "dual": 0, "cap": 0}
+        for tol in np.geomspace(1e-18, 1e-13, 101):
+            monkeypatch.setattr(linalg, "EIG_TOL", tol)
+            assert _verdict(a) == _exact_verdict(a, ed, tol, KAPPA_CAP)
+            if np.linalg.norm(resid, 2) <= tol * ed.a_norm < np.linalg.norm(resid) \
+                    * ed.a_norm / a_floor:
+                fallback_hits["residual"] += 1
+            if np.linalg.norm(dual, 2) <= tol * ed.kappa_x and np.linalg.norm(dual) > tol:
+                fallback_hits["dual"] += 1
+        monkeypatch.undo()
+        bound = math.sqrt(n) * np.linalg.norm(ed.v)
+        for cap in np.geomspace(0.5 * ed.kappa_x, 2e3 * bound, 101):
+            monkeypatch.setattr(linalg, "KAPPA_CAP", cap)
+            assert _verdict(a) == _exact_verdict(a, ed, linalg.EIG_TOL, cap)
+            if ed.kappa_x <= cap < 1e3 * bound:
+                fallback_hits["cap"] += 1
+        monkeypatch.undo()
+        assert min(fallback_hits.values()) > 0, fallback_hits
+
+
+def test_eig_at_the_kappa_cap_measures_kappa_by_the_svd(monkeypatch):
+    svd_routes = []
+    kappa2 = linalg._kappa2
+    monkeypatch.setattr(linalg, "_kappa2", lambda x: svd_routes.append(1) or kappa2(x))
+    # kappa2(X) ~ 3.2e12: the sqrt(n) ||X^-1||_F bound is too close to the cap
+    # to trust, so the SVD measures it and the input is accepted
+    ed = eig(gen_example(Example11(1e-25))[0])
+    assert svd_routes == [1]
+    assert ed.kappa_x <= KAPPA_CAP
+    with pytest.raises(NotDiagonalizable,
+                       match=r"^eig: kappa2\(X\) = 1\.001e\+13 exceeds cap 1\.0e\+13$"):
+        eig(gen_example(Example11(1e-26))[0])
