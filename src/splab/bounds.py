@@ -181,6 +181,10 @@ def classical_bound(part: SpectralPartition, da_spec: float,
 
 SEP_MAX_ITER = 200  # Lanczos steps before sep_frobenius gives up and returns nan
 _SEP_SEED = 0x5EB  # fixes the Lanczos start and restart vectors
+# sep_frobenius rescales its blocks when their largest entry lies outside
+# [2**-_SEP_SAFE_EXPONENT, 2**_SEP_SAFE_EXPONENT]: inside it, 1/sep^2 and the
+# solves behind it stay far from over- and underflow
+_SEP_SAFE_EXPONENT = 256
 
 
 def _sep_vectors(size: int):
@@ -197,6 +201,12 @@ def _orthogonalize(w, basis):
     return w - basis.T @ (basis.conj() @ w)  # second Gram-Schmidt pass
 
 
+def _times_power_of_two(x, e: int):
+    """x * 2**e in two steps, so that neither factor over- or underflows; exact
+    while the product does not."""
+    return x * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+
+
 def sep_frobenius(l1, l2) -> float:
     """Smallest singular value of S: T -> T L1 - L2 T on vectorized T.
 
@@ -210,9 +220,24 @@ def sep_frobenius(l1, l2) -> float:
     current Krylov sequence rises by at most 1e-15 relative.  Returns
     exactly 0.0 when the computed Schur diagonals of L1 and L2 share a
     value, and nan when ``SEP_MAX_ITER`` steps do not converge.
+
+    sep(c L1, c L2) = c sep(L1, L2).  Blocks whose largest entry lies outside
+    2**±``_SEP_SAFE_EXPONENT`` are first scaled by a power of two, which is
+    exact, to bring that entry into [1/2, 1), and the result is scaled back;
+    otherwise the Ritz value 1/sep^2 would under- or overflow.
     """
-    r1 = scipy.linalg.schur(_square(l1, "L1"), output="complex")[0]
-    r2 = scipy.linalg.schur(_square(l2, "L2"), output="complex")[0]
+    l1, l2 = _square(l1, "L1"), _square(l2, "L2")
+    exponent = math.frexp(max(float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))))[1]
+    if abs(exponent) <= _SEP_SAFE_EXPONENT:
+        return _sep_frobenius(l1, l2)
+    scaled = _sep_frobenius(_times_power_of_two(l1, -exponent),
+                            _times_power_of_two(l2, -exponent))
+    return _times_power_of_two(scaled, exponent)
+
+
+def _sep_frobenius(l1: np.ndarray, l2: np.ndarray) -> float:
+    r1 = scipy.linalg.schur(l1, output="complex")[0]
+    r2 = scipy.linalg.schur(l2, output="complex")[0]
     if np.any(np.diagonal(r2)[:, np.newaxis] == np.diagonal(r1)[np.newaxis, :]):
         return 0.0
     m, r = r2.shape[0], r1.shape[0]

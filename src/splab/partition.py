@@ -255,38 +255,86 @@ def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 # distance of the same float offsets and np.abs within 4u, so with the two
 # subtractions a margin moves by under 16u, and the exact argmax's screened
 # margin lies within 32u of the screened maximum: 256u leaves a factor of 8.
+#
+# The largest distance is read at the four grid corners.  Distance is convex,
+# so over the grid's rectangle it peaks at a corner; and each rounded step of
+# the screen (offset, scaling, square, sum, sqrt) is monotone, so the largest
+# screened distance over the grid is the largest at its corners, the same float.
+#
+# The same slack is the rounding room of the block screen.  Each margin is
+# 2-Lipschitz in the centre (a difference of a min and a max of distances), and
+# a screened margin lies within 16u of the exact one (the float offsets add u),
+# so a centre of a block screens at most its anchor's margin plus twice the
+# block's reach (its largest anchor-to-centre distance, in ``unit``) plus 32u.
+# A block is dropped when that sum, with the slack in place of the 32u, falls
+# below the anchors' best screened margin minus the slack: none of its centres
+# can then pass the candidate test, whose threshold is at least that.
 SCREEN_SLACK = 2 * 64 * np.finfo(np.float64).eps
 
+# grid centres per block side in the block screen: one anchor, the block's
+# centre, stands for its _SCREEN_BLOCK x _SCREEN_BLOCK centres (4 and 16 timed
+# about the same)
+_SCREEN_BLOCK = 8
 
-def _distance_extremes(res: np.ndarray, ims: np.ndarray, lam: np.ndarray,
+
+def _distance_extremes(xs: np.ndarray, ys: np.ndarray, lam: np.ndarray,
                        unit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest distance, in ``unit``, from each centre of the grid
-    ims x res to the eigenvalues ``lam``, from squared distances: one running
-    minimum and maximum, so memory is O(grid) at any n."""
-    lo = np.full((ims.size, res.size), np.inf)
-    hi = np.zeros((ims.size, res.size))
-    sq = np.empty((ims.size, res.size))
+    """Least and greatest distance, in ``unit``, from each centre
+    ``xs[k] + 1j * ys[k]`` to the eigenvalues ``lam``, from squared distances:
+    one running minimum and maximum, so memory is O(centres) at any n."""
+    lo = np.full(xs.shape, np.inf)
+    hi = np.zeros(xs.shape)
     for z in lam:
-        np.add((((ims - z.imag) / unit) ** 2)[:, np.newaxis],
-               (((res - z.real) / unit) ** 2)[np.newaxis, :], out=sq)
+        sq = ((ys - z.imag) / unit) ** 2 + ((xs - z.real) / unit) ** 2
         np.minimum(lo, sq, out=lo)
         np.maximum(hi, sq, out=hi)
     return np.sqrt(lo, out=lo), np.sqrt(hi, out=hi)
 
 
+def _blocks(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor index of each block along one grid axis (every _SCREEN_BLOCK-th
+    centre), the block of each centre (its nearest anchor) and each block's
+    reach, the largest offset of one of its centres from the anchor."""
+    anchors = np.arange(0, axis.size, _SCREEN_BLOCK)
+    block = np.minimum((np.arange(axis.size) + _SCREEN_BLOCK // 2) // _SCREEN_BLOCK,
+                       anchors.size - 1)
+    starts = np.maximum(anchors - _SCREEN_BLOCK // 2, 0)
+    reach = np.maximum.reduceat(np.abs(axis - axis[anchors[block]]), starts)
+    return anchors, block, reach
+
+
 def _grid_argmax(res: np.ndarray, ims: np.ndarray, l1: np.ndarray, l2: np.ndarray,
                  unit: float) -> tuple[complex, float]:
     """First-occurrence argmax of ``_disk_margins`` over the row-major grid
-    ``res[None, :] + 1j * ims[:, None]``: its centre and value, bit for bit.  Every centre is screened in units of ``unit`` (the squares
-    neither overflow nor underflow); only those within ``SCREEN_SLACK`` of the
-    screened maximum are evaluated exactly, and they include every exact
-    argmax."""
-    lo1, hi1 = _distance_extremes(res, ims, l1, unit)
-    lo2, hi2 = _distance_extremes(res, ims, l2, unit)
-    screened = np.maximum(lo2 - hi1, lo1 - hi2).reshape(-1)
-    slack = SCREEN_SLACK * max(float(hi1.max()), float(hi2.max()))
-    cand = np.flatnonzero(screened >= screened.max() - slack)
-    centres = res[cand % res.size] + 1j * ims[cand // res.size]
+    ``res[None, :] + 1j * ims[:, None]``: its centre and value, bit for bit.
+
+    Centres are screened in units of ``unit`` (the squares neither overflow
+    nor underflow), in two levels.  The anchors, every ``_SCREEN_BLOCK``-th
+    centre in each direction, are screened first; a block whose anchor cannot
+    reach their best screened margin by the Lipschitz bound is dropped, and
+    the centres of the other blocks are screened.  Only those within
+    ``SCREEN_SLACK`` of the screened maximum are evaluated exactly, and they
+    include every exact argmax."""
+    def screen(iy, ix):  # screened margins at the centres res[ix] + 1j * ims[iy]
+        lo1, hi1 = _distance_extremes(res[ix], ims[iy], l1, unit)
+        lo2, hi2 = _distance_extremes(res[ix], ims[iy], l2, unit)
+        return np.maximum(lo2 - hi1, lo1 - hi2)
+
+    corner_y = np.array([0, 0, ims.size - 1, ims.size - 1])
+    corner_x = np.array([0, res.size - 1, 0, res.size - 1])
+    farthest = max(float(_distance_extremes(res[corner_x], ims[corner_y], lam, unit)[1].max())
+                   for lam in (l1, l2))
+    slack = SCREEN_SLACK * farthest
+    anchor_y, block_y, reach_y = _blocks(ims)
+    anchor_x, block_x, reach_x = _blocks(res)
+    coarse = screen(np.repeat(anchor_y, anchor_x.size), np.tile(anchor_x, anchor_y.size))
+    reach = np.hypot(reach_y[:, np.newaxis], reach_x[np.newaxis, :]).reshape(-1) / unit
+    kept = (coarse + 2.0 * reach + slack >= coarse.max() - slack).reshape(anchor_y.size, -1)
+    iy, ix = np.divmod(np.flatnonzero(kept[block_y[:, np.newaxis], block_x[np.newaxis, :]]),
+                       res.size)
+    screened = screen(iy, ix)
+    cand = screened >= screened.max() - slack
+    centres = res[ix[cand]] + 1j * ims[iy[cand]]
     vals = _disk_margins(centres, l1, l2)
     best = int(np.argmax(vals))
     return complex(centres[best]), float(vals[best])
@@ -301,10 +349,12 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
 
     Otherwise a two-stage search.  First the best centre of a grid over the
     50%-inflated bounding box of the joint spectrum (pitch = diameter/200,
-    first-occurrence tie break), found by ``_grid_argmax``'s screen.  Then a
-    Nelder-Mead refinement from that centre to 1e-8 * diameter.  The value is
-    clipped to [0, ``gap_delta1``], so it is a certified lower bound on the
-    supremum.
+    first-occurrence tie break), found by ``_grid_argmax``'s two-level screen:
+    a lattice of anchor centres rules out the blocks that cannot hold the
+    best, and only near-best centres of the others are evaluated exactly.
+    Then a Nelder-Mead refinement from that centre to 1e-8 * diameter.  The
+    value is clipped to [0, ``gap_delta1``], so it is a certified lower bound
+    on the supremum.
     """
     l1 = np.atleast_1d(np.asarray(lambda1, dtype=np.complex128))
     l2 = np.atleast_1d(np.asarray(lambda2, dtype=np.complex128))

@@ -214,6 +214,21 @@ def test_sep_frobenius_smallest_operators():
     assert sep_frobenius(l2, l1) == pytest.approx(dense_sep(l2, l1), rel=1e-10)
 
 
+def test_sep_frobenius_is_scale_covariant_far_from_one():
+    # sep(c L1, c L2) = c sep(L1, L2); unscaled, the Ritz value 1/sep^2
+    # underflowed at c = 1e160 and overflowed at c = 1e-160
+    assert sep_frobenius([[1e160]], [[3e159]]) == pytest.approx(7e159, rel=1e-15)
+    assert sep_frobenius([[1e-160]], [[3e-161]]) == pytest.approx(7e-161, rel=1e-15)
+    for r, m in ((1, 1), (2, 3), (4, 5)):
+        l1, l2 = non_normal_pair(SplitMix64(40 + r), r, m)
+        sep = sep_frobenius(l1, l2)
+        scaled = [math.ldexp(sep_frobenius(math.ldexp(1.0, k) * l1, math.ldexp(1.0, k) * l2), -k)
+                  for k in (500, -500, 1000, -1000)]
+        # each is rescaled to the same blocks by a power of two
+        assert scaled == [scaled[0]] * 4
+        assert scaled[0] == pytest.approx(sep, rel=1e-13)
+
+
 def test_sep_frobenius_restarts_when_the_start_is_an_inner_eigenvector(monkeypatch):
     # S: T -> T L1 has singular values sqrt(40) and sqrt(10); the all-ones
     # vector belongs to sqrt(40), an inner eigenvalue of S^-* S^-1
@@ -356,6 +371,21 @@ def test_full_report_is_invariant_under_unitary_similarity():
         for name, rtol in UNITARY_RTOL.items():
             want, got = getattr(base, name), getattr(rot, name)
             assert abs(got - want) <= rtol * abs(want), (seed, name, got, want)
+
+
+def test_full_report_peak_memory_at_small_n():
+    import tracemalloc
+    a = SplitMix64(12).complex_normals(12, 12) / np.sqrt(24.0)
+    da = gen_gaussian_perturbation(12, 1e-6, 12)
+    full_report(a, da, TopKMagnitude(4))  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        rep = full_report(a, da, TopKMagnitude(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.gap_ok and 0.0 < rep.delta0 < rep.delta1
+    assert peak < 1e6
 
 
 def test_full_report_beyond_the_old_kronecker_size_cap():

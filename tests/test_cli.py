@@ -120,6 +120,22 @@ def test_not_diagonalizable_exits_3_with_one_line_and_no_warning(tmp_path, capsy
         assert captured.err == line and captured.out == ""
 
 
+def test_report_on_entries_near_1e200_gives_a_report(tmp_path, capsys):
+    # sep ~ 7e199: its Ritz value 1/sep^2 underflowed to 0 before the blocks
+    # were rescaled, and the report ended in a ZeroDivisionError traceback
+    path, out = tmp_path / "a.json", tmp_path / "report.json"
+    save_matrix(path, np.array([[1e200, 1e200], [0.0, 3e199]], dtype=np.complex128))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("report", "--input", str(path), "--perturb", "gaussian:1e-6",
+                       "--select", "topk:1", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert float(report["sep_frob"]) == pytest.approx(7e199, rel=1e-14)
+    assert float(report["delta0"]) == pytest.approx(7e199, rel=1e-14)
+
+
 EXAMPLE_FLAGS = {
     "example11": (("--eps", "1e-4"),),
     "tightr2": (("--delta", "0.1"), ("--eps", "1e-5")),
