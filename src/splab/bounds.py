@@ -28,7 +28,7 @@ from scipy.linalg.lapack import ztrsyl
 
 from .angles import sin_theta_norm
 from .errors import GapViolated, ShapeMismatch
-from .linalg import _square, as_matrix, eig, norms
+from .linalg import _square, _times_power_of_two, as_matrix, eig, norms
 from .partition import (
     MatchStrategy,
     SameSelector,
@@ -199,12 +199,6 @@ def _sep_vectors(size: int):
 def _orthogonalize(w, basis):
     w = w - basis.T @ (basis.conj() @ w)
     return w - basis.T @ (basis.conj() @ w)  # second Gram-Schmidt pass
-
-
-def _times_power_of_two(x, e: int):
-    """x * 2**e in two steps, so that neither factor over- or underflows; exact
-    while the product does not."""
-    return x * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
 
 
 def sep_frobenius(l1, l2) -> float:

@@ -144,6 +144,12 @@ def qr_decompose(z) -> QRFactors:
 kron = np.kron
 
 
+def _times_power_of_two(x, e: int):
+    """x * 2**e in two steps, so that neither factor over- or underflows; exact
+    while the product does not."""
+    return x * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+
+
 def spectral_order(w: np.ndarray) -> np.ndarray:
     """Indices sorting ``w`` by descending magnitude, ties broken by descending
     real part, then descending imaginary part: the order of ``eig``."""

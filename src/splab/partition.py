@@ -5,16 +5,21 @@ re-identifies the same split after a perturbation (either by reapplying the
 selector or by a minimum-cost eigenvalue assignment), and computes the three
 gap notions used by the bounds: the pairwise gap, the disk-separation gap,
 and the post-perturbation gap.
+
+The module does not import ``scipy.optimize``, which would add about 0.2 s
+to every command-line start: the disk-separation gap is refined by a planar
+Nelder-Mead of its own that takes scipy's steps, and a nearest assignment
+calls scipy's solver only when the nearest eigenvalues do not certify it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     AssignmentAmbiguous,
@@ -23,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     SpecViolation,
 )
-from .linalg import EigenDecomposition, QRFactors, qr_decompose
+from .linalg import EigenDecomposition, QRFactors, _times_power_of_two, qr_decompose
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,29 @@ def partition(ed: EigenDecomposition, sel: Selector) -> SpectralPartition:
 ASSIGN_TOL = 1e-12
 
 
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """The column ``scipy.optimize.linear_sum_assignment`` assigns to each row
+    of the square ``cost``.
+
+    When every row has a strict minimum and those columns are distinct, that
+    bijection is the unique minimum-cost assignment: any other assignment
+    gives some row more than its minimum and no row less.  The solver then
+    returns exactly it, so it is not called.  Otherwise the solver decides;
+    it is imported here, which keeps ``scipy.optimize`` off the import path.
+    """
+    n = cost.shape[0]
+    cols = cost.argmin(axis=1)
+    assigned = cols.tolist()
+    # a row's minimum is strict when its n - 1 other entries exceed it; a row
+    # holding NaN has a NaN minimum, which no entry exceeds
+    if (len(set(assigned)) == n
+            and np.count_nonzero(cost > cost[np.arange(n), cols][:, np.newaxis]) == n * (n - 1)):
+        return assigned
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+
+
 def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
                     strategy: MatchStrategy) -> SpectralPartition:
     """Partition the perturbed decomposition consistently with ``base``.
@@ -213,17 +241,17 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
     if lam_t.shape[0] != lam_base.shape[0]:
         raise ShapeMismatch("match_partition: spectra have different sizes")
     cost = np.abs(lam_t[:, np.newaxis] - lam_base[np.newaxis, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    assigned_base = dict(zip(rows.tolist(), cols.tolist()))
+    assigned = _min_cost_assignment(cost)
     base1 = set(base.idx1)
-    side1 = sorted(i for i, j in assigned_base.items() if j in base1)
+    side1 = [i for i, j in enumerate(assigned) if j in base1]
     kept = set(side1)
     side2 = [i for i in range(lam_t.shape[0]) if i not in kept]
     scale = float(max(np.max(np.abs(lam_t)), np.max(np.abs(lam_base)), 1e-300))
+    rows = cost.tolist()  # Python floats: the same sums, without numpy scalars
     for i in side1:
         for k in side2:
-            swap = (cost[i, assigned_base[k]] + cost[k, assigned_base[i]]
-                    - cost[i, assigned_base[i]] - cost[k, assigned_base[k]])
+            swap = (rows[i][assigned[k]] + rows[k][assigned[i]]
+                    - rows[i][assigned[i]] - rows[k][assigned[k]])
             if swap < ASSIGN_TOL * scale:
                 raise AssignmentAmbiguous(
                     f"match_partition: swapping rows {i} and {k} changes the "
@@ -340,6 +368,76 @@ def _grid_argmax(res: np.ndarray, ims: np.ndarray, l1: np.ndarray, l2: np.ndarra
     return complex(centres[best]), float(vals[best])
 
 
+# scipy's default Nelder-Mead start: the first vertex is x0, and each further
+# vertex moves one coordinate of x0 by 5 %, or to 0.00025 when it is 0
+_NM_STEP, _NM_ZERO_STEP = 0.05, 0.00025
+
+
+def _nan_last(vertex: list[float]) -> tuple[bool, float]:
+    """Sort key of a ``[value, x, y]`` vertex: a stable sort by it orders three
+    values as ``np.argsort`` does, ties in place and NaN last."""
+    return vertex[0] != vertex[0], vertex[0]
+
+
+def _nelder_mead(func, x0: float, y0: float, tol: float,
+                 maxiter: int) -> tuple[float, float, float]:
+    """Minimise ``func(x, y)`` from ``(x0, y0)``: the ``x`` and ``fun`` of
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` with ``xatol`` and
+    ``fatol`` both ``tol`` and this ``maxiter``, bit for bit.
+
+    It takes scipy's default (non-adaptive) steps one for one on Python
+    floats, with the same operands in the same order: reflection 1, expansion
+    2, outside and inside contraction 1/2 and shrink 1/2 from the centroid of
+    the two best vertices, in scipy's branch order; it stops when every
+    vertex lies within ``tol`` of the best in each coordinate and in value, or
+    after ``maxiter - 1`` iterations (scipy counts the start as the first),
+    and re-sorts the vertices after each iteration.
+    """
+    x1 = x0 * (1 + _NM_STEP) if x0 != 0 else _NM_ZERO_STEP
+    y2 = y0 * (1 + _NM_STEP) if y0 != 0 else _NM_ZERO_STEP
+    sim = [[func(x, y), x, y] for x, y in ((x0, y0), (x1, y0), (x0, y2))]
+    sim.sort(key=_nan_last)
+    for _ in range(maxiter - 1):
+        (f0, x0, y0), (f1, x1, y1), (f2, x2, y2) = sim
+        if all(abs(d) <= tol for d in (x1 - x0, y1 - y0, x2 - x0, y2 - y0, f0 - f1, f0 - f2)):
+            break
+        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+        xr, yr = 2 * xb - x2, 2 * yb - y2  # reflection
+        fr = func(xr, yr)
+        if fr < f0:
+            xe, ye = 3 * xb - 2 * x2, 3 * yb - 2 * y2  # expansion
+            fe = func(xe, ye)
+            sim[2] = [fe, xe, ye] if fe < fr else [fr, xr, yr]
+        elif fr < f1:
+            sim[2] = [fr, xr, yr]
+        else:
+            if fr < f2:  # outside contraction
+                xc, yc = 1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2
+                fc = func(xc, yc)
+                keep = fc <= fr
+            else:  # inside contraction
+                xc, yc = 0.5 * xb + 0.5 * x2, 0.5 * yb + 0.5 * y2
+                fc = func(xc, yc)
+                keep = fc < f2
+            if keep:
+                sim[2] = [fc, xc, yc]
+            else:  # shrink towards the best vertex
+                for vertex in sim[1:]:
+                    vertex[1] = x0 + 0.5 * (vertex[1] - x0)
+                    vertex[2] = y0 + 0.5 * (vertex[2] - y0)
+                    vertex[0] = func(vertex[1], vertex[2])
+        sim.sort(key=_nan_last)
+    # scipy reports np.min of the values (NaN if any is), not the best vertex's
+    return sim[0][1], sim[0][2], float(np.min([vertex[0] for vertex in sim]))
+
+
+# gap_delta0 scales a spectrum whose largest real or imaginary part lies
+# outside [2**-_DELTA0_SAFE_EXPONENT, 2**_DELTA0_SAFE_EXPONENT] by a power of
+# two, as sep_frobenius scales its blocks: inside it, the bounding box, the
+# grid pitch and the simplex steps stay far from over- and underflow
+_DELTA0_SAFE_EXPONENT = 256
+
+
 def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     """Best disk-separation margin over all disk centers, with its witness.
 
@@ -352,9 +450,17 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     first-occurrence tie break), found by ``_grid_argmax``'s two-level screen:
     a lattice of anchor centres rules out the blocks that cannot hold the
     best, and only near-best centres of the others are evaluated exactly.
-    Then a Nelder-Mead refinement from that centre to 1e-8 * diameter.  The
-    value is clipped to [0, ``gap_delta1``], so it is a certified lower bound
-    on the supremum.
+    Then a Nelder-Mead refinement from that centre to 1e-8 * diameter, by
+    ``_nelder_mead``: scipy's default Nelder-Mead, step for step, so the
+    result does not depend on which scipy is installed.  The value is
+    clipped to [0, ``gap_delta1``], so it is a certified lower bound on the
+    supremum.
+
+    delta0(c L1, c L2) = c delta0(L1, L2).  A spectrum whose largest real or
+    imaginary part lies outside 2**±``_DELTA0_SAFE_EXPONENT`` is searched
+    scaled by a power of two, which is exact, to bring that part into
+    [1/2, 1), and the value and witness are scaled back; otherwise its width
+    could overflow.
     """
     l1 = np.atleast_1d(np.asarray(lambda1, dtype=np.complex128))
     l2 = np.atleast_1d(np.asarray(lambda2, dtype=np.complex128))
@@ -362,6 +468,20 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
         raise EmptySide("gap_delta0: both spectral sets must be nonempty")
     if l1.size == 1 or l2.size == 1:
         return gap_delta1(l1, l2), complex((l1 if l1.size == 1 else l2)[0])
+    parts = np.concatenate([l1, l2]).view(np.float64)  # real and imaginary parts
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    if abs(exponent) <= _DELTA0_SAFE_EXPONENT:
+        return _delta0_search(l1, l2)
+    value, witness = _delta0_search(_times_power_of_two(l1, -exponent),
+                                    _times_power_of_two(l2, -exponent))
+    return (_times_power_of_two(value, exponent),
+            complex(_times_power_of_two(witness.real, exponent),
+                    _times_power_of_two(witness.imag, exponent)))
+
+
+def _delta0_search(l1: np.ndarray, l2: np.ndarray) -> tuple[float, complex]:
+    """``gap_delta0`` of two sides of two or more eigenvalues each: the grid,
+    then the Nelder-Mead refinement."""
     pts = np.concatenate([l1, l2])
     re_lo, re_hi = float(pts.real.min()), float(pts.real.max())
     im_lo, im_hi = float(pts.imag.min()), float(pts.imag.max())
@@ -379,20 +499,14 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
         else np.array([im_c])
     t_best, f_best = _grid_argmax(res, ims, l1, l2, diam)
 
-    def negated(xy):
-        t = complex(xy[0], xy[1])
+    def negated(x, y):
+        t = complex(x, y)
         d1, d2 = np.abs(l1 - t).tolist(), np.abs(l2 - t).tolist()
         return -max(min(d2) - max(d1), min(d1) - max(d2))
 
-    opt = scipy.optimize.minimize(
-        negated,
-        x0=np.array([t_best.real, t_best.imag]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8 * diam, "fatol": 1e-8 * diam, "maxiter": 800},
-    )
-    if -opt.fun > f_best:
-        f_best = float(-opt.fun)
-        t_best = complex(opt.x[0], opt.x[1])
+    x, y, fun = _nelder_mead(negated, t_best.real, t_best.imag, 1e-8 * diam, 800)
+    if -fun > f_best:
+        f_best, t_best = -fun, complex(x, y)
     # the pairwise gap upper-bounds every disk margin (triangle inequality);
     # clipping removes evaluation roundoff that would break that order
     f_best = min(f_best, gap_delta1(l1, l2))

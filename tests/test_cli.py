@@ -18,6 +18,7 @@ from splab.experiments import (
     gen_example,
 )
 from splab.io import load_matrix, save_matrix
+from splab.rng import SplitMix64
 
 
 def run_cli(*args):
@@ -134,6 +135,51 @@ def test_report_on_entries_near_1e200_gives_a_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert float(report["sep_frob"]) == pytest.approx(7e199, rel=1e-14)
     assert float(report["delta0"]) == pytest.approx(7e199, rel=1e-14)
+
+
+def test_report_on_a_spectrum_wider_than_the_largest_float(tmp_path):
+    # the spectrum's width, 2e308, overflowed gap_delta0's bounding box and the
+    # report ended in an `arange: cannot compute length` traceback
+    path = tmp_path / "a.json"
+    save_matrix(path, np.diag([1e308, -1e308, 5e307j, -5e307j]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "splab.cli", "report", "--input", str(path),
+         "--perturb", "gaussian:1e-6", "--select", "topk:2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=False)
+    assert done.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in done.stderr
+    if done.returncode in (0, 2):
+        assert done.stderr == ""
+        assert float(json.loads(done.stdout)["delta0"]) == pytest.approx(5e307, rel=1e-7)
+    else:
+        assert done.stderr.startswith("splab: ") and done.stderr.count("\n") == 1
+
+
+def test_cli_calls_do_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize costs about 0.2 s of start-up: no general-path report with
+    # nearest matching, contour suite or table1 sweep may import it
+    path = tmp_path / "a.json"
+    save_matrix(path, SplitMix64(8).complex_normals(8, 8) / 4.0)
+    script = f"""
+import sys
+from splab.cli import main
+codes = [main(argv) for argv in (
+    ["report", "--input", {str(path)!r}, "--perturb", "gaussian:1e-6", "--select", "topk:2",
+     "--match", "nearest", "--out", {str(tmp_path / "report.json")!r}],
+    ["verify", "contour", "--out", {str(tmp_path / "contour.json")!r}],
+    ["sweep", "table1", "--out", {str(tmp_path / "table1.csv")!r}],
+)]
+print(codes[0] in (0, 2), codes[1:], "scipy.optimize" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True [0, 0] False\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["match_strategy"] == "nearest-assignment"
 
 
 EXAMPLE_FLAGS = {

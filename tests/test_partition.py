@@ -21,6 +21,7 @@ from splab.partition import (
     SameSelector,
     TopKMagnitude,
     _disk_margins,
+    _min_cost_assignment,
     format_selector,
     gap_delta0,
     gap_delta1,
@@ -163,6 +164,89 @@ def test_match_partition_ambiguous():
         match_partition(ed_t, base, NearestAssignment())
 
 
+def _diagonal_eig(lam):
+    return eig(np.diag(np.asarray(lam, dtype=np.complex128)))
+
+
+def test_min_cost_assignment_is_linear_sum_assignment():
+    # the certified assignment against scipy's solver on random cost matrices:
+    # uniform, near-identity matchings of perturbed spectra, shuffled spectra,
+    # small integers (tied row minima) and rows holding NaN
+    import scipy.optimize
+
+    g = np.random.default_rng(16)
+    certified = 0
+    for trial in range(2000):
+        n = int(g.integers(2, 25))
+        lam = g.standard_normal(n) + 1j * g.standard_normal(n)
+        kind = trial % 5
+        if kind == 0:
+            cost = g.random((n, n))
+        elif kind == 1:
+            noise = g.standard_normal(n) + 1j * g.standard_normal(n)
+            cost = np.abs(lam[:, np.newaxis] + 1e-3 * noise[:, np.newaxis] - lam)
+        elif kind == 2:
+            moved = lam[g.permutation(n)] + 0.5 * g.standard_normal(n)
+            cost = np.abs(moved[:, np.newaxis] - lam)
+        elif kind == 3:
+            cost = g.integers(0, 4, (n, n)).astype(np.float64)
+        else:
+            cost = np.abs(lam[:, np.newaxis] - lam)
+            cost[g.integers(0, n), g.integers(0, n)] = np.nan
+            with pytest.raises(ValueError):
+                scipy.optimize.linear_sum_assignment(cost)
+            with pytest.raises(ValueError):
+                _min_cost_assignment(cost)
+            continue
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        assert rows.tolist() == list(range(n))
+        assert _min_cost_assignment(cost) == cols.tolist()
+        certified += len(set(cost.argmin(axis=1).tolist())) == n
+    assert 300 < certified < 1600  # both the certificate and the solver decide
+
+
+def test_match_partition_falls_back_to_scipy_on_tied_or_colliding_minima(monkeypatch):
+    # a tied row minimum or two rows with the same nearest eigenvalue leave the
+    # certificate undecided: scipy's solver decides, with the parent's result
+    # and AssignmentAmbiguous message
+    import scipy.optimize
+
+    calls = []
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    solver = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    swap = "match_partition: swapping rows {} and {} changes the cost by {}"
+    for lam, k, lam_t, expected in (
+        ([2.0, 1.0], 1, [1.5, 1.5], swap.format(0, 1, "0.000e+00")),
+        ([2.0, 1.0], 1, [1.5, 1.5 + 1e-15], swap.format(0, 1, "2.220e-15")),
+        ([2.0, 1.0], 1, [1.9, 1.8], (0,)),
+        ([3.0, 2.0, 1.0], 1, [2.5, 2.5, 1.0], swap.format(0, 1, "0.000e+00")),
+        ([4.0, 3.0, 1.0, 0.5], 2, [3.5, 3.5, 0.75, 0.75], (0, 1)),
+        ([4.0, 3.0, 1.0, 0.5], 2, [3.5, 2.0, 2.0, 0.75], swap.format(1, 2, "0.000e+00")),
+        ([1.0, 1j, -1.0, -1j], 2, [0.0, 0.0, 2.0, 2j], (0, 1)),
+    ):
+        base = partition(_diagonal_eig(lam), TopKMagnitude(k))
+        calls.clear()
+        if isinstance(expected, str):
+            with pytest.raises(AssignmentAmbiguous) as info:
+                match_partition(_diagonal_eig(lam_t), base, NearestAssignment())
+            assert str(info.value) == expected
+        else:
+            matched = match_partition(_diagonal_eig(lam_t), base, NearestAssignment())
+            assert matched.idx1 == expected
+        assert calls == [(len(lam), len(lam))]
+    # distinct strict minima: the certificate decides and the solver is not called
+    calls.clear()
+    base = partition(_diagonal_eig([4.0, 3.0, 1.0, 0.5]), TopKMagnitude(2))
+    matched = match_partition(_diagonal_eig([3.9, 3.1, 1.2, 0.4]), base, NearestAssignment())
+    assert matched.idx1 == (0, 1)
+    assert calls == []
+
+
 # --- gaps ---
 
 def test_gap_delta1_examples():
@@ -300,6 +384,26 @@ def test_gap_delta0_screened_grid_is_the_full_grid_argmax(monkeypatch):
     assert any(res.size == 1 for res, *_ in seen) and any(ims.size == 1 for _, ims, *_ in seen)
 
 
+def test_gap_delta0_is_scale_covariant_far_from_one():
+    # a spectrum beyond 2**±256 is searched scaled into [1/2, 1) by a power of
+    # two, so at 2**k it gives 2**k times the value and witness of the same
+    # spectrum at that scale, bit for bit; the width of diag(1e308, -1e308,
+    # 5e307j, -5e307j) overflowed before, and its grid could not be built
+    g = SplitMix64(17)
+    for _ in range(10):
+        z = g.complex_normals(1, g.integer(4, 9))[0]
+        z = z / (2.0 * np.max(np.abs(z.view(np.float64))))  # largest part 1/2
+        value, witness = gap_delta0(z[:2], z[2:])
+        for k in (-1000, -300, 300, 1000):
+            scaled_value, scaled_witness = gap_delta0(z[:2] * 2.0**k, z[2:] * 2.0**k)
+            assert scaled_value == value * 2.0**k
+            assert scaled_witness == witness * 2.0**k
+    value, witness = gap_delta0([1e308, -1e308], [5e307j, -5e307j])
+    half, half_witness = gap_delta0([0.5e308, -0.5e308], [2.5e307j, -2.5e307j])
+    assert (value, witness) == (2 * half, 2 * half_witness)
+    assert value == pytest.approx(5e307, rel=1e-7)
+
+
 def test_gap_delta0_general_case_keeps_its_nelder_mead_path():
     # (delta0, t0_star) of three general-case spectra as computed before the
     # grid was screened; a changed Nelder-Mead start or path moves the witness
@@ -319,6 +423,51 @@ def test_gap_delta0_general_case_keeps_its_nelder_mead_path():
     ):
         assert min(l1.size, l2.size) >= 2
         assert gap_delta0(l1, l2) == (value, witness)
+
+
+def test_nelder_mead_takes_scipys_steps(monkeypatch):
+    # the planar Nelder-Mead against scipy's own on every refinement that
+    # gap_delta0 runs: x and fun bit for bit, ties and flat ridges included
+    import scipy.optimize
+
+    module = importlib.import_module("splab.partition")
+    seen = []
+
+    def spy(func, x0, y0, tol, maxiter):
+        out = nelder_mead(func, x0, y0, tol, maxiter)
+        seen.append((func, x0, y0, tol, maxiter, out))
+        return out
+
+    nelder_mead = module._nelder_mead
+    monkeypatch.setattr(module, "_nelder_mead", spy)
+    cases = []
+    for seed in range(7000, 7500):  # the grid-oracle test's draws
+        g = SplitMix64(seed)
+        n1, n2 = g.integer(1, 4), g.integer(1, 4)
+        lam = np.array([complex(2 * g.uniform() - 1, 2 * g.uniform() - 1)
+                        for _ in range(n1 + n2)])
+        cases.append((lam[:n1], lam[n1:]))
+    for seed in range(90000, 90300):  # Gaussian spectra, some best centres far out
+        g = SplitMix64(seed)
+        n1, n2 = g.integer(2, 6), g.integer(2, 8)
+        z = g.complex_normals(1, n1 + n2)[0]
+        cases.append((z[:n1], z[n1:]))
+    for n in (8, 12, 48, 96):  # workload sizes, topk:n/4
+        z = _disk_spectrum(n, n)
+        cases.append((z[: n // 4], z[n // 4:]))
+    g = SplitMix64(16)
+    for _ in range(40):  # rounded coordinates: tied values along the simplex
+        z = np.round(2 * g.complex_normals(1, g.integer(4, 10))[0]) / 2
+        cases.append((z[:2], z[2:]))
+    for l1, l2 in cases:
+        gap_delta0(l1, l2)
+    assert len(seen) > 600
+    for func, x0, y0, tol, maxiter, (x, y, fun) in seen:
+        opt = scipy.optimize.minimize(lambda xy: func(xy[0], xy[1]), np.array([x0, y0]),
+                                      method="Nelder-Mead",
+                                      options={"xatol": tol, "fatol": tol, "maxiter": maxiter})
+        assert np.array([x, y]).tobytes() == opt.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(opt.fun).tobytes()
 
 
 def _full_grid_argmax(res, ims, l1, l2):
