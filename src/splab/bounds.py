@@ -28,7 +28,7 @@ from scipy.linalg.lapack import ztrsyl
 
 from .angles import sin_theta_norm
 from .errors import GapViolated, ShapeMismatch
-from .linalg import _square, _times_power_of_two, as_matrix, eig, norms
+from .linalg import _into_safe_range, _square, _times_power_of_two, as_matrix, eig, norms
 from .partition import (
     MatchStrategy,
     SameSelector,
@@ -122,15 +122,20 @@ class Analysis:
 
     @functools.cached_property
     def product_bound(self) -> tuple[float, float]:
-        """(perj, dl); raises GapViolated when the post-perturbation gap is zero."""
+        """(perj, dl), inf where the product overflows; raises GapViolated
+        when the post-perturbation gap is zero."""
         if self.delta_lambda == 0.0:
             raise GapViolated("analyze: post-perturbation gap is zero")
         kappa_v2, da_frob, a = self.part.qr_v2.kappa, self.da_norms[1], self.a_scale
         if da_frob == 0.0:
             return 0.0, 0.0
         lead = kappa_v2 * da_frob / a
-        perj = lead * float(np.prod(1.0 + a / self.gaps))
-        dl = lead * (1.0 + a / self.delta_lambda) ** self.gaps.shape[0]
+        with np.errstate(over="ignore"):
+            perj = lead * float(np.prod(1.0 + a / self.gaps))
+        try:
+            dl = lead * (1.0 + a / self.delta_lambda) ** self.gaps.shape[0]
+        except OverflowError:  # a float power raises where a product gives inf
+            dl = math.inf
         return float(perj), float(dl)
 
     @functools.cached_property
@@ -181,10 +186,6 @@ def classical_bound(part: SpectralPartition, da_spec: float,
 
 SEP_MAX_ITER = 200  # Lanczos steps before sep_frobenius gives up and returns nan
 _SEP_SEED = 0x5EB  # fixes the Lanczos start and restart vectors
-# sep_frobenius rescales its blocks when their largest entry lies outside
-# [2**-_SEP_SAFE_EXPONENT, 2**_SEP_SAFE_EXPONENT]: inside it, 1/sep^2 and the
-# solves behind it stay far from over- and underflow
-_SEP_SAFE_EXPONENT = 256
 
 
 def _sep_vectors(size: int):
@@ -215,18 +216,14 @@ def sep_frobenius(l1, l2) -> float:
     exactly 0.0 when the computed Schur diagonals of L1 and L2 share a
     value, and nan when ``SEP_MAX_ITER`` steps do not converge.
 
-    sep(c L1, c L2) = c sep(L1, L2).  Blocks whose largest entry lies outside
-    2**±``_SEP_SAFE_EXPONENT`` are first scaled by a power of two, which is
-    exact, to bring that entry into [1/2, 1), and the result is scaled back;
-    otherwise the Ritz value 1/sep^2 would under- or overflow.
+    sep(c L1, c L2) = c sep(L1, L2).  Blocks whose largest real or imaginary
+    part lies outside 2**±256 are first scaled by a power of two, which is
+    exact, to bring that part into [1/2, 1) (``linalg._into_safe_range``), and
+    the result is scaled back; otherwise the Ritz value 1/sep^2 would under-
+    or overflow.
     """
-    l1, l2 = _square(l1, "L1"), _square(l2, "L2")
-    exponent = math.frexp(max(float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))))[1]
-    if abs(exponent) <= _SEP_SAFE_EXPONENT:
-        return _sep_frobenius(l1, l2)
-    scaled = _sep_frobenius(_times_power_of_two(l1, -exponent),
-                            _times_power_of_two(l2, -exponent))
-    return _times_power_of_two(scaled, exponent)
+    exponent, blocks = _into_safe_range(_square(l1, "L1"), _square(l2, "L2"))
+    return _times_power_of_two(_sep_frobenius(*blocks), exponent)
 
 
 def _sep_frobenius(l1: np.ndarray, l2: np.ndarray) -> float:

@@ -231,8 +231,8 @@ def gen_gaussian_perturbation(n: int, target_spectral_norm: float,
                               seed: int) -> np.ndarray:
     """Real i.i.d. standard-normal matrix from the portable stream, rescaled
     after measuring so its spectral norm equals the target exactly."""
-    if n < 1 or target_spectral_norm <= 0:
-        raise SpecViolation("gaussian perturbation: need n >= 1 and norm > 0")
+    if n < 1 or not 0 < target_spectral_norm < math.inf:
+        raise SpecViolation("gaussian perturbation: need n >= 1 and a finite norm > 0")
     g = SplitMix64(seed).normals(n, n).astype(np.complex128)
     return g * (target_spectral_norm / np.linalg.norm(g, 2))
 

@@ -95,9 +95,12 @@ def singular_values(z) -> np.ndarray:
 
 
 def norms(z) -> tuple[float, float]:
-    """(spectral norm, Frobenius norm)."""
+    """(spectral norm, Frobenius norm); the Frobenius norm's sum of squares
+    is taken ``_into_safe_range``, where it neither over- nor underflows."""
     z = as_matrix(z, "Z")
-    return float(singular_values(z)[0]), float(np.linalg.norm(z, "fro"))
+    exponent, (scaled,) = _into_safe_range(z)
+    frob = _times_power_of_two(float(np.linalg.norm(scaled, "fro")), exponent)
+    return float(singular_values(z)[0]), frob
 
 
 def cond2(z) -> float:
@@ -148,6 +151,24 @@ def _times_power_of_two(x, e: int):
     """x * 2**e in two steps, so that neither factor over- or underflows; exact
     while the product does not."""
     return x * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+
+
+# a largest real or imaginary part within 2**±_SAFE_EXPONENT keeps sums of
+# squares, spectral widths and Ritz values 1/sep**2 far from over- and underflow
+_SAFE_EXPONENT = 256
+
+
+def _into_safe_range(*arrays) -> tuple[int, tuple]:
+    """(e, complex128 ``arrays`` times 2**-e), exact.  e is 0 while the
+    largest real or imaginary part lies within 2**±``_SAFE_EXPONENT``, and
+    otherwise its power-of-two exponent, which scales it into [1/2, 1).  The
+    parts are read, not the moduli: the modulus of 1.5e308+1.5e308j
+    overflows."""
+    part = max(float(np.abs(np.ascontiguousarray(a).view(np.float64)).max()) for a in arrays)
+    exponent = math.frexp(part)[1]
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return 0, arrays
+    return exponent, tuple(_times_power_of_two(a, -exponent) for a in arrays)
 
 
 def spectral_order(w: np.ndarray) -> np.ndarray:

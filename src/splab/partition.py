@@ -15,7 +15,6 @@ calls scipy's solver only when the nearest eigenvalues do not certify it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,7 +27,13 @@ from .errors import (
     ShapeMismatch,
     SpecViolation,
 )
-from .linalg import EigenDecomposition, QRFactors, _times_power_of_two, qr_decompose
+from .linalg import (
+    EigenDecomposition,
+    QRFactors,
+    _into_safe_range,
+    _times_power_of_two,
+    qr_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -269,54 +274,38 @@ def gap_delta1(lambda1, lambda2) -> float:
 
 
 def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    """max of the two directional disk-separation margins at each center."""
-    d1 = np.abs(l1[:, np.newaxis] - t[np.newaxis, :])
-    d2 = np.abs(l2[:, np.newaxis] - t[np.newaxis, :])
-    inside2 = d1.min(axis=0) - d2.max(axis=0)  # set 2 inside, set 1 outside
-    inside1 = d2.min(axis=0) - d1.max(axis=0)  # set 1 inside, set 2 outside
-    return np.maximum(inside1, inside2)
+    """max of the two directional disk-separation margins at each center.
+
+    Each side's least and greatest distance is a running minimum and maximum
+    over its eigenvalues, one at a time, so memory is O(centres) at any n."""
+    def extremes(lam):
+        lo, hi = np.full(t.shape, np.inf), np.zeros(t.shape)
+        for z in lam:
+            dist = np.abs(z - t)
+            np.minimum(lo, dist, out=lo)
+            np.maximum(hi, dist, out=hi)
+        return lo, hi
+
+    lo1, hi1 = extremes(l1)
+    lo2, hi2 = extremes(l2)
+    # set 1 inside and set 2 outside, or set 2 inside and set 1 outside
+    return np.maximum(lo2 - hi1, lo1 - hi2)
 
 
-# rounding slack, times the largest centre-eigenvalue distance, within which a
-# screened grid margin may fall short of the screened maximum and still be
-# evaluated exactly.  A screened distance lies within 3u (u = eps/2) of the
-# distance of the same float offsets and np.abs within 4u, so with the two
-# subtractions a margin moves by under 16u, and the exact argmax's screened
-# margin lies within 32u of the screened maximum: 256u leaves a factor of 8.
-#
-# The largest distance is read at the four grid corners.  Distance is convex,
-# so over the grid's rectangle it peaks at a corner; and each rounded step of
-# the screen (offset, scaling, square, sum, sqrt) is monotone, so the largest
-# screened distance over the grid is the largest at its corners, the same float.
-#
-# The same slack is the rounding room of the block screen.  Each margin is
-# 2-Lipschitz in the centre (a difference of a min and a max of distances), and
-# a screened margin lies within 16u of the exact one (the float offsets add u),
-# so a centre of a block screens at most its anchor's margin plus twice the
-# block's reach (its largest anchor-to-centre distance, in ``unit``) plus 32u.
-# A block is dropped when that sum, with the slack in place of the 32u, falls
-# below the anchors' best screened margin minus the slack: none of its centres
-# can then pass the candidate test, whose threshold is at least that.
-SCREEN_SLACK = 2 * 64 * np.finfo(np.float64).eps
+# rounding room, times the diameter, of the block screen in ``_grid_argmax``.
+# Every grid centre lies within 1.26 diameters of every eigenvalue (the grid
+# inflates the bounding box by 50 %).  A computed distance is within 3u of the
+# exact one (u = eps/2: the two offsets and hypot), and the subtraction of the
+# two extremes adds u, so a computed margin is within 9u * diam of the exact
+# margin at the same centre, and a centre's and its anchor's rounding stay
+# under 9 eps * diam together: 64 eps leaves a factor of 7 for the rounding
+# of the reach and of the screen's own sum.
+SCREEN_SLACK = 64 * np.finfo(np.float64).eps
 
 # grid centres per block side in the block screen: one anchor, the block's
 # centre, stands for its _SCREEN_BLOCK x _SCREEN_BLOCK centres (4 and 16 timed
 # about the same)
 _SCREEN_BLOCK = 8
-
-
-def _distance_extremes(xs: np.ndarray, ys: np.ndarray, lam: np.ndarray,
-                       unit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest distance, in ``unit``, from each centre
-    ``xs[k] + 1j * ys[k]`` to the eigenvalues ``lam``, from squared distances:
-    one running minimum and maximum, so memory is O(centres) at any n."""
-    lo = np.full(xs.shape, np.inf)
-    hi = np.zeros(xs.shape)
-    for z in lam:
-        sq = ((ys - z.imag) / unit) ** 2 + ((xs - z.real) / unit) ** 2
-        np.minimum(lo, sq, out=lo)
-        np.maximum(hi, sq, out=hi)
-    return np.sqrt(lo, out=lo), np.sqrt(hi, out=hi)
 
 
 def _blocks(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,37 +321,26 @@ def _blocks(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _grid_argmax(res: np.ndarray, ims: np.ndarray, l1: np.ndarray, l2: np.ndarray,
-                 unit: float) -> tuple[complex, float]:
+                 diam: float) -> tuple[complex, float]:
     """First-occurrence argmax of ``_disk_margins`` over the row-major grid
     ``res[None, :] + 1j * ims[:, None]``: its centre and value, bit for bit.
 
-    Centres are screened in units of ``unit`` (the squares neither overflow
-    nor underflow), in two levels.  The anchors, every ``_SCREEN_BLOCK``-th
-    centre in each direction, are screened first; a block whose anchor cannot
-    reach their best screened margin by the Lipschitz bound is dropped, and
-    the centres of the other blocks are screened.  Only those within
-    ``SCREEN_SLACK`` of the screened maximum are evaluated exactly, and they
-    include every exact argmax."""
-    def screen(iy, ix):  # screened margins at the centres res[ix] + 1j * ims[iy]
-        lo1, hi1 = _distance_extremes(res[ix], ims[iy], l1, unit)
-        lo2, hi2 = _distance_extremes(res[ix], ims[iy], l2, unit)
-        return np.maximum(lo2 - hi1, lo1 - hi2)
-
-    corner_y = np.array([0, 0, ims.size - 1, ims.size - 1])
-    corner_x = np.array([0, res.size - 1, 0, res.size - 1])
-    farthest = max(float(_distance_extremes(res[corner_x], ims[corner_y], lam, unit)[1].max())
-                   for lam in (l1, l2))
-    slack = SCREEN_SLACK * farthest
+    The anchors, every ``_SCREEN_BLOCK``-th centre in each direction, are
+    evaluated first.  Each margin moves by at most twice the distance its
+    centre moves, so a block whose anchor's margin plus twice the block's
+    reach plus ``SCREEN_SLACK * diam`` falls short of the best anchor's
+    margin holds only centres below it, and is dropped.  The centres of the
+    other blocks are evaluated in row-major order, and their first maximum
+    is the grid's."""
     anchor_y, block_y, reach_y = _blocks(ims)
     anchor_x, block_x, reach_x = _blocks(res)
-    coarse = screen(np.repeat(anchor_y, anchor_x.size), np.tile(anchor_x, anchor_y.size))
-    reach = np.hypot(reach_y[:, np.newaxis], reach_x[np.newaxis, :]).reshape(-1) / unit
-    kept = (coarse + 2.0 * reach + slack >= coarse.max() - slack).reshape(anchor_y.size, -1)
+    coarse = _disk_margins((res[anchor_x][np.newaxis, :]
+                            + 1j * ims[anchor_y][:, np.newaxis]).reshape(-1), l1, l2)
+    reach = np.hypot(reach_y[:, np.newaxis], reach_x[np.newaxis, :]).reshape(-1)
+    kept = (coarse + 2.0 * reach + SCREEN_SLACK * diam >= coarse.max()).reshape(anchor_y.size, -1)
     iy, ix = np.divmod(np.flatnonzero(kept[block_y[:, np.newaxis], block_x[np.newaxis, :]]),
                        res.size)
-    screened = screen(iy, ix)
-    cand = screened >= screened.max() - slack
-    centres = res[ix[cand]] + 1j * ims[iy[cand]]
+    centres = res[ix] + 1j * ims[iy]
     vals = _disk_margins(centres, l1, l2)
     best = int(np.argmax(vals))
     return complex(centres[best]), float(vals[best])
@@ -431,13 +409,6 @@ def _nelder_mead(func, x0: float, y0: float, tol: float,
     return sim[0][1], sim[0][2], float(np.min([vertex[0] for vertex in sim]))
 
 
-# gap_delta0 scales a spectrum whose largest real or imaginary part lies
-# outside [2**-_DELTA0_SAFE_EXPONENT, 2**_DELTA0_SAFE_EXPONENT] by a power of
-# two, as sep_frobenius scales its blocks: inside it, the bounding box, the
-# grid pitch and the simplex steps stay far from over- and underflow
-_DELTA0_SAFE_EXPONENT = 256
-
-
 def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
     """Best disk-separation margin over all disk centers, with its witness.
 
@@ -447,18 +418,17 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
 
     Otherwise a two-stage search.  First the best centre of a grid over the
     50%-inflated bounding box of the joint spectrum (pitch = diameter/200,
-    first-occurrence tie break), found by ``_grid_argmax``'s two-level screen:
-    a lattice of anchor centres rules out the blocks that cannot hold the
-    best, and only near-best centres of the others are evaluated exactly.
-    Then a Nelder-Mead refinement from that centre to 1e-8 * diameter, by
-    ``_nelder_mead``: scipy's default Nelder-Mead, step for step, so the
-    result does not depend on which scipy is installed.  The value is
-    clipped to [0, ``gap_delta1``], so it is a certified lower bound on the
-    supremum.
+    first-occurrence tie break), found by ``_grid_argmax``: a lattice of
+    anchor centres rules out the blocks that cannot hold the best, and every
+    centre of the others is evaluated.  Then a Nelder-Mead refinement from
+    that centre to 1e-8 * diameter, by ``_nelder_mead``: scipy's default
+    Nelder-Mead, step for step, so the result does not depend on which scipy
+    is installed.  The value is clipped to [0, ``gap_delta1``], so it is a
+    certified lower bound on the supremum.
 
     delta0(c L1, c L2) = c delta0(L1, L2).  A spectrum whose largest real or
-    imaginary part lies outside 2**±``_DELTA0_SAFE_EXPONENT`` is searched
-    scaled by a power of two, which is exact, to bring that part into
+    imaginary part lies outside 2**±256 is searched scaled by a power of two
+    (``linalg._into_safe_range``), which is exact, to bring that part into
     [1/2, 1), and the value and witness are scaled back; otherwise its width
     could overflow.
     """
@@ -468,12 +438,8 @@ def gap_delta0(lambda1, lambda2) -> tuple[float, complex]:
         raise EmptySide("gap_delta0: both spectral sets must be nonempty")
     if l1.size == 1 or l2.size == 1:
         return gap_delta1(l1, l2), complex((l1 if l1.size == 1 else l2)[0])
-    parts = np.concatenate([l1, l2]).view(np.float64)  # real and imaginary parts
-    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
-    if abs(exponent) <= _DELTA0_SAFE_EXPONENT:
-        return _delta0_search(l1, l2)
-    value, witness = _delta0_search(_times_power_of_two(l1, -exponent),
-                                    _times_power_of_two(l2, -exponent))
+    exponent, sides = _into_safe_range(l1, l2)
+    value, witness = _delta0_search(*sides)
     return (_times_power_of_two(value, exponent),
             complex(_times_power_of_two(witness.real, exponent),
                     _times_power_of_two(witness.imag, exponent)))

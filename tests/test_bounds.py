@@ -229,6 +229,13 @@ def test_sep_frobenius_is_scale_covariant_far_from_one():
         assert scaled[0] == pytest.approx(sep, rel=1e-13)
 
 
+def test_sep_frobenius_reads_its_scale_from_the_real_and_imaginary_parts():
+    # the modulus of 1.5e308+1.5e308j overflows, so reading the scale from it
+    # left the blocks unscaled and sep was nan
+    assert sep_frobenius([[1.5e308 + 1.5e308j]], [[1.4e308 + 1.4e308j]]) == pytest.approx(
+        math.sqrt(2) * 1e307, rel=1e-14)
+
+
 def test_sep_frobenius_restarts_when_the_start_is_an_inner_eigenvector(monkeypatch):
     # S: T -> T L1 has singular values sqrt(40) and sqrt(10); the all-ones
     # vector belongs to sqrt(40), an inner eigenvalue of S^-* S^-1

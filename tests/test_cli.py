@@ -137,6 +137,40 @@ def test_report_on_entries_near_1e200_gives_a_report(tmp_path, capsys):
     assert float(report["delta0"]) == pytest.approx(7e199, rel=1e-14)
 
 
+def test_report_on_a_perturbation_near_1e_minus_200_keeps_its_norm(tmp_path, capsys):
+    # ||dA||_F's sum of squares underflowed to 0, and so did the product bound
+    path = tmp_path / "a.json"
+    assert run_cli("example", "example11", "--eps", "1e-2", "--out", str(path)) == 0
+    reports = {}
+    for norm in ("1e-6", "1e-200"):
+        out = tmp_path / f"{norm}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", "--input", str(path), "--perturb", f"gaussian:{norm}",
+                           "--select", "topk:2", "--out", str(out)) in (0, 2)
+        reports[norm] = json.loads(out.read_text())
+    assert capsys.readouterr().err == ""
+    small, tiny = reports["1e-6"], reports["1e-200"]
+    assert float(tiny["dA_frob"]) == pytest.approx(1e-194 * float(small["dA_frob"]),
+                                                   rel=1e-15, abs=0)
+    assert float(tiny["new_value_perj"]) == pytest.approx(
+        1e-194 * float(small["new_value_perj"]), rel=1e-5, abs=0)
+
+
+def test_report_with_an_overflowing_product_bound_prints_inf(tmp_path, capsys):
+    # (1 + a/delta_lambda)^r overflows: a float power raised OverflowError
+    path, out = tmp_path / "a.json", tmp_path / "report.json"
+    assert run_cli("example", "example11", "--eps", "1e-2", "--out", str(path)) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("report", "--input", str(path), "--perturb", "unit:1,1,1e160",
+                       "--select", "topk:2", "--out", str(out)) == 2
+    report = json.loads(out.read_text())
+    assert report["new_value_dl"] == "inf"
+    assert float(report["new_value_perj"]) == pytest.approx(4e160, rel=1e-14)
+
+
 def test_report_on_a_spectrum_wider_than_the_largest_float(tmp_path):
     # the spectrum's width, 2e308, overflowed gap_delta0's bounding box and the
     # report ended in an `arange: cannot compute length` traceback
@@ -246,12 +280,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--select", "topk:2") == 1
     assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
                    "--select", "bogus") == 1
+    assert run_cli("report", "--input", str(a_path), "--perturb", "gaussian:inf",
+                   "--select", "topk:2") == 1
     assert run_cli("example", "example11", "--eps", "2.0",
                    "--out", str(tmp_path / "x.json")) == 1
     assert run_cli("eig", "--input", str(tmp_path / "missing.json")) == 1
     assert run_cli("sweep", "tightness", "--delta-list", "") == 1
     assert run_cli("sweep", "table1", "--eps-list", "") == 1
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
+    assert run_cli("sweep", "table1", "--norm", "inf") == 1
     assert run_cli("verify", "lemma32", "--cases", "-3") == 1
     assert run_cli("verify", "lemma32", "--cases", "0") == 1
     # the fixed-list suites take no case count

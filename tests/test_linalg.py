@@ -164,6 +164,18 @@ def test_norm_and_cond_examples():
         cond2(np.zeros((2, 2), dtype=np.complex128))
 
 
+def test_frobenius_norm_is_scale_covariant_far_from_one():
+    # the sum of squares overflowed at 1e200 (norm inf) and underflowed at
+    # 1e-200 (norm 0); the matrix is now rescaled by a power of two
+    assert norms(np.diag([1e200, 1e200])) == (1e200, pytest.approx(math.sqrt(2) * 1e200, rel=1e-15))
+    assert norms(np.diag([1e-200, 1e-200])) == (
+        1e-200, pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15, abs=0))
+    z = seeded_complex(12, 3, 4)
+    frob = norms(z)[1]
+    for k in (300, -300, 1000, -1000):
+        assert norms(math.ldexp(1.0, k) * z)[1] == math.ldexp(frob, k)
+
+
 # --- cheap-first self-checks ---
 
 def test_norm2_exceeds_measures_only_past_the_frobenius_bound():

@@ -483,20 +483,9 @@ def _full_grid_argmax(res, ims, l1, l2):
     return best_centre, best_value
 
 
-def test_grid_argmax_is_the_full_grid_argmax_on_hard_spectra(monkeypatch):
-    # the block screen drops whole blocks of centres; on spectra with long
-    # flat ridges, exact ties, many eigenvalues or extreme scales it must
-    # still return the exact full-grid argmax, centre and value bits
-    module = importlib.import_module("splab.partition")
-    seen = []
-
-    def spy(res, ims, l1, l2, unit):
-        out = grid_argmax(res, ims, l1, l2, unit)
-        seen.append((res, ims, l1, l2, out))
-        return out
-
-    grid_argmax = module._grid_argmax
-    monkeypatch.setattr(module, "_grid_argmax", spy)
+def _hard_spectra():
+    # spectra with long flat ridges, exact ties, many eigenvalues or extreme
+    # scales, as pairs (l1, l2)
     g = SplitMix64(31)
     cases = []
     for _ in range(24):  # 2..40 eigenvalues a side
@@ -520,6 +509,24 @@ def test_grid_argmax_is_the_full_grid_argmax_on_hard_spectra(monkeypatch):
         for _ in range(4):
             z = scale * g.complex_normals(1, g.integer(4, 20))[0]
             cases.append((z[:2], z[2:]))
+    return cases
+
+
+def test_grid_argmax_is_the_full_grid_argmax_on_hard_spectra(monkeypatch):
+    # the block screen drops whole blocks of centres; on spectra with long
+    # flat ridges, exact ties, many eigenvalues or extreme scales it must
+    # still return the exact full-grid argmax, centre and value bits
+    module = importlib.import_module("splab.partition")
+    seen = []
+
+    def spy(res, ims, l1, l2, unit):
+        out = grid_argmax(res, ims, l1, l2, unit)
+        seen.append((res, ims, l1, l2, out))
+        return out
+
+    grid_argmax = module._grid_argmax
+    monkeypatch.setattr(module, "_grid_argmax", spy)
+    cases = _hard_spectra()
     for l1, l2 in cases:
         gap_delta0(l1, l2)
     assert len(seen) == len(cases)
@@ -528,6 +535,48 @@ def test_grid_argmax_is_the_full_grid_argmax_on_hard_spectra(monkeypatch):
         assert np.complex128(centre).tobytes() == np.complex128(expected_centre).tobytes()
         assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
     assert any(res.size == 1 for res, *_ in seen) and any(ims.size == 1 for _, ims, *_ in seen)
+
+
+def _broadcast_disk_margins(t, l1, l2):
+    # the disk margins by one (eigenvalues x centres) array a side
+    d1 = np.abs(l1[:, np.newaxis] - t[np.newaxis, :])
+    d2 = np.abs(l2[:, np.newaxis] - t[np.newaxis, :])
+    return np.maximum(d2.min(axis=0) - d1.max(axis=0), d1.min(axis=0) - d2.max(axis=0))
+
+
+def test_disk_margins_equal_the_broadcast_formula_on_full_grids(monkeypatch):
+    # the running extremes compute the same floats per centre as the broadcast
+    # formula, bit for bit, on every centre of the hard spectra's grids
+    module = importlib.import_module("splab.partition")
+    grids = []
+
+    def spy(res, ims, l1, l2, diam):
+        grids.append((res, ims, l1, l2))
+        return grid_argmax(res, ims, l1, l2, diam)
+
+    grid_argmax = module._grid_argmax
+    monkeypatch.setattr(module, "_grid_argmax", spy)
+    for l1, l2 in _hard_spectra():
+        gap_delta0(l1, l2)
+    for res, ims, l1, l2 in grids:
+        for row in range(0, ims.size, 16):  # 16 rows at a time keeps the reference small
+            grid = (res[np.newaxis, :] + 1j * ims[row:row + 16, np.newaxis]).reshape(-1)
+            assert _disk_margins(grid, l1, l2).tobytes() == \
+                _broadcast_disk_margins(grid, l1, l2).tobytes()
+
+
+def test_disk_margins_memory_is_linear_in_the_centres():
+    import tracemalloc
+    g = SplitMix64(5)
+    lam = g.complex_normals(1, 120)[0]
+    t = g.complex_normals(1, 20000)[0]
+    tracemalloc.start()
+    try:
+        _disk_margins(t, lam[:30], lam[30:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def _disk_spectrum(seed, n):
