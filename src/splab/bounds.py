@@ -185,6 +185,9 @@ def classical_bound(part: SpectralPartition, da_spec: float,
 
 
 SEP_MAX_ITER = 200  # Lanczos steps before sep_frobenius gives up and returns nan
+# a sep of nearest triangles is accepted when the dropped parts' Frobenius
+# norms sum to at most this fraction of it
+SEP_TRIANGLE_TOL = 1e-10
 _SEP_SEED = 0x5EB  # fixes the Lanczos start and restart vectors
 
 
@@ -207,14 +210,29 @@ def sep_frobenius(l1, l2) -> float:
 
     This is the Frobenius-geometry surrogate for the spectral-norm
     separation; the exact spectral-norm version has no finite closed form.
-    S has the singular values of T -> T R1 - R2 T for the complex Schur
-    factors R1, R2 of L1, L2, so a product with S^-* S^-1 is two triangular
-    Sylvester solves (Bartels-Stewart).  Lanczos on S^-* S^-1 starts from a
-    fixed pseudo-random vector, restarts orthogonally to its basis when the
-    Krylov space turns invariant, and stops once the Ritz value of the
-    current Krylov sequence rises by at most 1e-15 relative.  Returns
-    exactly 0.0 when the computed Schur diagonals of L1 and L2 share a
-    value, and nan when ``SEP_MAX_ITER`` steps do not converge.
+    S keeps its singular values when L1 and L2 are replaced by unitarily
+    similar blocks R1 and R2, and when both are upper triangular a product
+    with S^-* S^-1 is two triangular Sylvester solves (Bartels-Stewart).
+    Lanczos on S^-* S^-1 starts from a fixed pseudo-random vector, restarts
+    orthogonally to its basis when the Krylov space turns invariant, and
+    stops once the Ritz value of the current Krylov sequence rises by at most
+    1e-15 relative.
+
+    R1 and R2 are first each block's nearest triangle: its upper triangle
+    when the strict lower part is no larger in Frobenius norm than the strict
+    upper part, and otherwise its lower triangle reversed, a permutation
+    similarity that makes it upper triangular.  The blocks of a report are
+    triangular up to rounding, so this costs no factorization: with
+    X1 = Q_X1 R, Q_X1* A Q_X1 = R Lambda1 R^-1 is upper triangular, and
+    Q_V2* A Q_V2 = R_V^-* Lambda2 R_V^* lower triangular.  Dropping parts of
+    Frobenius norm d1 and d2 moves sigma_min(S) by at most d1 + d2 (Weyl), so
+    the value is accepted when it is finite, positive and at least
+    (d1 + d2) / ``SEP_TRIANGLE_TOL``: it is then within ``SEP_TRIANGLE_TOL``
+    relative of the blocks' own sep; the iteration stops as soon as a Ritz
+    value shows that it cannot be.  Otherwise R1 and R2 are the complex
+    Schur factors of L1 and L2, and the result is exactly 0.0 when their
+    computed diagonals share a value and nan when ``SEP_MAX_ITER`` steps do
+    not converge.
 
     sep(c L1, c L2) = c sep(L1, L2).  Blocks whose largest real or imaginary
     part lies outside 2**±256 are first scaled by a power of two, which is
@@ -226,9 +244,35 @@ def sep_frobenius(l1, l2) -> float:
     return _times_power_of_two(_sep_frobenius(*blocks), exponent)
 
 
+def _nearest_triangle(l: np.ndarray) -> tuple[np.ndarray, float]:
+    """(upper-triangular block unitarily similar to ``l`` up to the dropped
+    part, that part's Frobenius norm), in the Fortran order ``ztrsyl`` reads
+    without a copy."""
+    upper, lower = np.linalg.norm(np.triu(l, 1)), np.linalg.norm(np.tril(l, -1))
+    if lower <= upper:
+        return np.asfortranarray(np.triu(l)), float(lower)
+    return np.asfortranarray(np.tril(l)[::-1, ::-1]), float(upper)
+
+
 def _sep_frobenius(l1: np.ndarray, l2: np.ndarray) -> float:
-    r1 = scipy.linalg.schur(l1, output="complex")[0]
-    r2 = scipy.linalg.schur(l2, output="complex")[0]
+    (r1, d1), (r2, d2) = _nearest_triangle(l1), _nearest_triangle(l2)
+    sep = _sep_triangular(r1, r2, floor=(d1 + d2) / SEP_TRIANGLE_TOL)
+    if 0.0 < sep < math.inf and d1 + d2 <= SEP_TRIANGLE_TOL * sep:
+        return sep
+    return _sep_schur(l1, l2)
+
+
+def _sep_schur(l1: np.ndarray, l2: np.ndarray) -> float:
+    """sep through the complex Schur factors of both blocks."""
+    return _sep_triangular(scipy.linalg.schur(l1, output="complex")[0],
+                           scipy.linalg.schur(l2, output="complex")[0])
+
+
+def _sep_triangular(r1: np.ndarray, r2: np.ndarray, floor: float = 0.0) -> float:
+    """sep of upper-triangular blocks: 0.0 when their diagonals share a value,
+    nan when Lanczos does not converge in ``SEP_MAX_ITER`` steps.  Every Ritz
+    value of S^-* S^-1 is at most 1/sep^2, so once one puts sep below
+    ``floor`` the iteration stops and returns that bound, 1/sqrt(Ritz value)."""
     if np.any(np.diagonal(r2)[:, np.newaxis] == np.diagonal(r1)[np.newaxis, :]):
         return 0.0
     m, r = r2.shape[0], r1.shape[0]
@@ -248,6 +292,8 @@ def _sep_frobenius(l1: np.ndarray, l2: np.ndarray) -> float:
         ritz_matrix[k, : k + 1] = h.conj()
         w = _orthogonalize(w, basis)
         ritz = float(np.linalg.eigvalsh(ritz_matrix[start : k + 1, start : k + 1])[-1])
+        if 1.0 / math.sqrt(ritz) < floor:
+            return 1.0 / math.sqrt(ritz)
         if ritz - lam <= 1e-15 * ritz or k + 1 == m * r:
             return 1.0 / math.sqrt(np.linalg.eigvalsh(ritz_matrix[: k + 1, : k + 1])[-1])
         b = np.linalg.norm(w)

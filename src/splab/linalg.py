@@ -94,12 +94,25 @@ def singular_values(z) -> np.ndarray:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
 
 
+# a Frobenius norm computed within [2**-200, 2**200] needs no scale guard
+_FROB_DIRECT_RANGE = (math.ldexp(1.0, -200), math.ldexp(1.0, 200))
+
+
 def norms(z) -> tuple[float, float]:
     """(spectral norm, Frobenius norm); the Frobenius norm's sum of squares
-    is taken ``_into_safe_range``, where it neither over- nor underflows."""
+    is taken ``_into_safe_range``, where it neither over- nor underflows.
+
+    The largest real or imaginary part p of Z satisfies p <= ||Z||_F <=
+    sqrt(2 numel) p, so a directly computed norm in ``_FROB_DIRECT_RANGE``
+    puts p within 2**±``_SAFE_EXPONENT``: the guard's exponent would be 0,
+    and that norm is already the guarded one.
+    """
     z = as_matrix(z, "Z")
-    exponent, (scaled,) = _into_safe_range(z)
-    frob = _times_power_of_two(float(np.linalg.norm(scaled, "fro")), exponent)
+    with np.errstate(over="ignore"):
+        frob = float(np.linalg.norm(z, "fro"))
+    if not _FROB_DIRECT_RANGE[0] <= frob <= _FROB_DIRECT_RANGE[1]:
+        exponent, (scaled,) = _into_safe_range(z)
+        frob = _times_power_of_two(float(np.linalg.norm(scaled, "fro")), exponent)
     return float(singular_values(z)[0]), frob
 
 

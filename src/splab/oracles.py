@@ -208,9 +208,10 @@ def contour_projector(a, ed: EigenDecomposition, contour: Contour) -> np.ndarray
     pts, weights = contour.points()
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
+    resolvents = np.linalg.solve(pts[:, np.newaxis, np.newaxis] * eye - a, eye)
     acc = np.zeros((n, n), dtype=np.complex128)
-    for z, w in zip(pts, weights):
-        acc += w * scipy.linalg.solve(z * eye - a, eye)
+    for w, res in zip(weights, resolvents):  # summed in node order
+        acc += w * res
     return acc
 
 

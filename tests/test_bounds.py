@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,7 +219,7 @@ def test_sep_frobenius_is_scale_covariant_far_from_one():
     # sep(c L1, c L2) = c sep(L1, L2); unscaled, the Ritz value 1/sep^2
     # underflowed at c = 1e160 and overflowed at c = 1e-160
     assert sep_frobenius([[1e160]], [[3e159]]) == pytest.approx(7e159, rel=1e-15)
-    assert sep_frobenius([[1e-160]], [[3e-161]]) == pytest.approx(7e-161, rel=1e-15)
+    assert sep_frobenius([[1e-160]], [[3e-161]]) == pytest.approx(7e-161, rel=1e-15, abs=0)
     for r, m in ((1, 1), (2, 3), (4, 5)):
         l1, l2 = non_normal_pair(SplitMix64(40 + r), r, m)
         sep = sep_frobenius(l1, l2)
@@ -285,6 +286,119 @@ def test_sep_frobenius_unitary_invariance_and_gap_bound(r, m, seed):
     assert sep_frobenius(u @ l1 @ u.conj().T, w @ l2 @ w.conj().T) == pytest.approx(sep, rel=1e-10)
     gaps = np.abs(np.linalg.eigvals(l1)[:, np.newaxis] - np.linalg.eigvals(l2)[np.newaxis, :])
     assert sep <= np.min(gaps) * (1 + 1e-12)
+
+
+def report_blocks(a, r):
+    """The blocks L1 = Q_X1* A Q_X1 and L2 = Q_V2* A Q_V2 that full_report
+    hands to sep_frobenius."""
+    part = partition(eig(a), TopKMagnitude(r))
+    q1, q2 = part.qr_x1.q, part.qr_v2.q
+    return q1.conj().T @ a @ q1, q2.conj().T @ a @ q2
+
+
+def report_cases():
+    """A 48x48 complex Gaussian matrix scaled by 1/sqrt(2n) split topk:12, and
+    Example11 from eps = 1e-2 to 1e-24 split topk:2."""
+    yield SplitMix64(48).complex_normals(48, 48) / np.sqrt(96.0), 12
+    for k in range(2, 25):
+        yield gen_example(Example11(10.0 ** -k))[0], 2
+
+
+def schur_spy(monkeypatch):
+    """The shapes of the blocks scipy.linalg.schur is called on from now."""
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or schur(a, *args, **kw))
+    return calls
+
+
+def test_full_report_makes_no_schur_call(monkeypatch):
+    # L1 = R Lambda1 R^-1 is upper and L2 = R_V^-* Lambda2 R_V^* lower
+    # triangular up to rounding, so sep takes both triangles as they are
+    calls = schur_spy(monkeypatch)
+    for a, r in report_cases():
+        n = a.shape[0]
+        rep = full_report(a, gen_gaussian_perturbation(n, 1e-6, 42), TopKMagnitude(r))
+        assert 0.0 < rep.sep_frob < math.inf
+    assert calls == []
+
+
+def test_sep_frobenius_triangle_route_agrees_with_the_schur_route(monkeypatch):
+    blocks = [report_blocks(a, r) for a, r in report_cases()]
+    calls = schur_spy(monkeypatch)
+    seps = [sep_frobenius(l1, l2) for l1, l2 in blocks]
+    assert calls == []
+    for (l1, l2), sep in zip(blocks, seps):
+        assert sep == pytest.approx(splab.bounds._sep_schur(l1, l2), rel=1e-12, abs=0)
+
+
+def test_sep_frobenius_of_triangular_blocks_is_the_dense_sep(monkeypatch):
+    calls = schur_spy(monkeypatch)
+    for k in range(10):
+        l1, l2 = non_normal_pair(SplitMix64(3300 + k), 3, 4)
+        upper, lower = np.triu(l1), np.tril(l2)
+        for pair in ((upper, lower), (lower.T, upper.T), (lower, upper), (upper.T, lower.T)):
+            assert sep_frobenius(*pair) == pytest.approx(dense_sep(*pair), rel=1e-10)
+    assert calls == []
+
+
+def test_sep_frobenius_takes_the_schur_route_when_the_certificate_fails(monkeypatch):
+    l1 = np.triu(non_normal_pair(SplitMix64(61), 3, 1)[0])
+    l2 = np.array([[0.25 - 0.5j]])
+    sep = dense_sep(l1, l2)
+    calls = schur_spy(monkeypatch)
+    # a dropped corner of 1e-2 * SEP_TRIANGLE_TOL * sep is certified
+    near = l1.copy()
+    near[2, 0] = 1e-2 * splab.bounds.SEP_TRIANGLE_TOL * sep
+    assert sep_frobenius(near, l2) == pytest.approx(sep, rel=1e-10)
+    assert calls == []
+    # one of 1e2 * SEP_TRIANGLE_TOL * sep is not: both blocks are Schur-factored
+    near[2, 0] = 1e2 * splab.bounds.SEP_TRIANGLE_TOL * sep
+    assert sep_frobenius(near, l2) == pytest.approx(dense_sep(near, l2), rel=1e-10)
+    assert calls == [(3, 3), (1, 1)]
+    # general blocks take it too
+    l1, l2 = non_normal_pair(SplitMix64(62), 3, 2)
+    calls.clear()
+    assert sep_frobenius(l1, l2) == pytest.approx(dense_sep(l1, l2), rel=1e-10)
+    assert calls == [(3, 3), (2, 2)]
+
+
+def test_sep_of_triangles_stops_once_a_ritz_value_puts_it_below_the_floor(monkeypatch):
+    l1, l2 = non_normal_pair(SplitMix64(63), 4, 5)
+    r1, r2 = np.triu(l1), np.triu(l2)
+    sep = dense_sep(r1, r2)
+    steps = []
+    ztrsyl = splab.bounds.ztrsyl
+    monkeypatch.setattr(splab.bounds, "ztrsyl",
+                        lambda *a, **kw: steps.append(1) or ztrsyl(*a, **kw))
+    assert splab.bounds._sep_triangular(r1, r2) == pytest.approx(sep, rel=1e-10)
+    full = len(steps)
+    # every sep estimate lies above sep, so a floor below it stops nothing
+    steps.clear()
+    assert splab.bounds._sep_triangular(r1, r2, floor=0.5 * sep) == pytest.approx(sep, rel=1e-10)
+    assert len(steps) == full
+    # the first estimate, 1/||S^-1 w|| <= ||S||, is below a floor of 2 ||S||
+    steps.clear()
+    floor = 2.0 * (np.linalg.norm(r1, 2) + np.linalg.norm(r2, 2))
+    assert sep < splab.bounds._sep_triangular(r1, r2, floor=floor) < floor
+    assert len(steps) == 2 < full
+
+
+def test_sep_frobenius_of_report_blocks_is_unitarily_invariant(monkeypatch):
+    calls = schur_spy(monkeypatch)
+    for seed in range(20):
+        a, _, r = random_diagonalizable_case(seed)
+        l1, l2 = report_blocks(a, r)
+        g = SplitMix64(7700 + seed)
+        u1 = np.linalg.qr(g.complex_normals(*l1.shape))[0]
+        u2 = np.linalg.qr(g.complex_normals(*l2.shape))[0]
+        calls.clear()
+        sep = sep_frobenius(l1, l2)
+        assert calls == []
+        rotated = sep_frobenius(u1.conj().T @ l1 @ u1, u2.conj().T @ l2 @ u2)
+        assert rotated == pytest.approx(sep, rel=1e-12, abs=0), seed
+        assert len(calls) == (2 if l1.shape[0] > 1 or l2.shape[0] > 1 else 0)
 
 
 def test_sep_lower_bound_examples():

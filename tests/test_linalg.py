@@ -176,6 +176,30 @@ def test_frobenius_norm_is_scale_covariant_far_from_one():
         assert norms(math.ldexp(1.0, k) * z)[1] == math.ldexp(frob, k)
 
 
+def test_frobenius_norm_skips_the_scale_guard_in_range_with_the_same_bits(monkeypatch):
+    def guarded(z):
+        exponent, (scaled,) = linalg._into_safe_range(z)
+        return linalg._times_power_of_two(float(np.linalg.norm(scaled, "fro")), exponent)
+
+    z = seeded_complex(12, 3, 4)
+    inputs = {
+        "in range": [z, np.diag([2.0**200, 0.0]), np.diag([2.0**-200, 0.0]), 1e-50 * z, 1e50 * z],
+        "tiny": [np.diag([1e-200, 1e-200]), math.ldexp(1.0, -300) * z, np.diag([5e-324, 0.0])],
+        "huge": [np.diag([1e200, 1e200]), math.ldexp(1.0, 300) * z,
+                 np.array([[1.5e308 + 1.5e308j]])],
+        "zero": [np.zeros((2, 3))],
+    }
+    want = {kind: [guarded(as_matrix(m)) for m in ms] for kind, ms in inputs.items()}
+    calls = []
+    into_safe_range = linalg._into_safe_range
+    monkeypatch.setattr(linalg, "_into_safe_range",
+                        lambda *a: calls.append(1) or into_safe_range(*a))
+    for kind, ms in inputs.items():
+        calls.clear()
+        assert [norms(m)[1] for m in ms] == want[kind], kind
+        assert len(calls) == (0 if kind == "in range" else len(ms)), kind
+
+
 # --- cheap-first self-checks ---
 
 def test_norm2_exceeds_measures_only_past_the_frobenius_bound():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from splab.bounds import Analysis, analyze
 from splab.errors import EnclosureViolated, GapViolated
@@ -216,6 +217,22 @@ def test_contour_projector_node_doubling_contracts():
     e16, e32, e64 = err(16), err(32), err(64)
     assert e32 <= e16 / 10.0
     assert e64 <= e32 / 10.0
+
+
+def test_contour_projector_sums_one_solve_per_node_in_node_order():
+    # the stacked solve and the running sum repeat a per-node loop's arithmetic
+    a11, _ = gen_example(Example11(1e-4))
+    for a, radius, nodes in ((a11, 0.3, 16), (a11, 0.3, 256),
+                             (np.diag([1.0, 0.0]).astype(np.complex128), 0.9, 64)):
+        contour = Contour(center=1.0, radius=radius, nodes=nodes)
+        eye = np.eye(a.shape[0], dtype=np.complex128)
+        by_node, by_scipy = np.zeros_like(eye), np.zeros_like(eye)
+        for z, w in zip(*contour.points()):
+            by_node += w * np.linalg.solve(z * eye - a, eye)
+            by_scipy += w * scipy.linalg.solve(z * eye - a, eye)
+        proj = contour_projector(a, eig(a), contour)
+        assert proj.tobytes() == by_node.tobytes()
+        assert np.linalg.norm(proj - by_scipy, 2) <= 1e-13 * np.linalg.norm(by_scipy, 2)
 
 
 def test_contour_projector_errors():
