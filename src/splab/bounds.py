@@ -189,6 +189,8 @@ SEP_MAX_ITER = 200  # Lanczos steps before sep_frobenius gives up and returns na
 # norms sum to at most this fraction of it
 SEP_TRIANGLE_TOL = 1e-10
 _SEP_SEED = 0x5EB  # fixes the Lanczos start and restart vectors
+# rows of the Krylov basis buffer at the start, and added each time it fills
+_SEP_BASIS_ROWS, _SEP_BASIS_CHUNK = 16, 8
 
 
 def _sep_vectors(size: int):
@@ -200,9 +202,15 @@ def _sep_vectors(size: int):
         yield (gen.uniforms(2 * size) - 0.5).view(np.complex128)
 
 
+def _project(basis, w):
+    """basis.conj() @ w without a conjugated copy of the basis: the same
+    product on the same layout, conjugated exactly, so the same bits."""
+    return (basis @ w.conj()).conj()
+
+
 def _orthogonalize(w, basis):
-    w = w - basis.T @ (basis.conj() @ w)
-    return w - basis.T @ (basis.conj() @ w)  # second Gram-Schmidt pass
+    w = w - basis.T @ _project(basis, w)
+    return w - basis.T @ _project(basis, w)  # second Gram-Schmidt pass
 
 
 def sep_frobenius(l1, l2) -> float:
@@ -272,25 +280,36 @@ def _sep_triangular(r1: np.ndarray, r2: np.ndarray, floor: float = 0.0) -> float
     """sep of upper-triangular blocks: 0.0 when their diagonals share a value,
     nan when Lanczos does not converge in ``SEP_MAX_ITER`` steps.  Every Ritz
     value of S^-* S^-1 is at most 1/sep^2, so once one puts sep below
-    ``floor`` the iteration stops and returns that bound, 1/sqrt(Ritz value)."""
+    ``floor`` the iteration stops and returns that bound, 1/sqrt(Ritz value).
+
+    The Krylov vectors are the rows of one buffer that grows in place by
+    ``_SEP_BASIS_CHUNK`` rows when it fills, so no step holds two copies."""
     if np.any(np.diagonal(r2)[:, np.newaxis] == np.diagonal(r1)[np.newaxis, :]):
         return 0.0
     m, r = r2.shape[0], r1.shape[0]
     steps = min(m * r, SEP_MAX_ITER)
     vectors = _sep_vectors(m * r)
-    w = next(vectors)
-    basis = (w / np.linalg.norm(w))[np.newaxis, :]
-    ritz_matrix = np.zeros((steps, steps), dtype=np.complex128)  # lower triangle used
+    rows = min(steps, _SEP_BASIS_ROWS)
+    basis = np.empty((rows, m * r), dtype=np.complex128)
+    ritz_matrix = np.zeros((rows, rows), dtype=np.complex128)  # lower triangle used
     start, lam = 0, 0.0  # first basis index of the current Krylov sequence, its Ritz value
+    w = next(vectors)
+    b = np.linalg.norm(w)
     for k in range(steps):
+        if k == rows:
+            rows = min(rows + _SEP_BASIS_CHUNK, steps)
+            basis.resize((rows, m * r))  # in place: no view of the buffer is alive
+            grown = np.zeros((rows, rows), dtype=np.complex128)
+            grown[:k, :k] = ritz_matrix
+            ritz_matrix = grown
+        basis[k] = w / b
         # info = 1 (LAPACK perturbed near-common eigenvalues) is accepted on
         # purpose: the solve is then approximate, and sep is of rounding size
         y, scale, _ = ztrsyl(r2, r1, basis[k].reshape(m, r), isgn=-1)
         w, scale2, _ = ztrsyl(r2, r1, y / scale, trana="C", tranb="C", isgn=-1)
         w = w.reshape(-1) / scale2
-        h = basis.conj() @ w
-        ritz_matrix[k, : k + 1] = h.conj()
-        w = _orthogonalize(w, basis)
+        ritz_matrix[k, : k + 1] = basis[: k + 1] @ w.conj()  # conj(basis.conj() @ w)
+        w = _orthogonalize(w, basis[: k + 1])
         ritz = float(np.linalg.eigvalsh(ritz_matrix[start : k + 1, start : k + 1])[-1])
         if 1.0 / math.sqrt(ritz) < floor:
             return 1.0 / math.sqrt(ritz)
@@ -298,11 +317,10 @@ def _sep_triangular(r1: np.ndarray, r2: np.ndarray, floor: float = 0.0) -> float
             return 1.0 / math.sqrt(np.linalg.eigvalsh(ritz_matrix[: k + 1, : k + 1])[-1])
         b = np.linalg.norm(w)
         if b <= 1e-15 * ritz:  # invariant Krylov space: restart orthogonally to it
-            w = _orthogonalize(next(vectors), basis)
+            w = _orthogonalize(next(vectors), basis[: k + 1])
             b = np.linalg.norm(w)
             start, ritz = k + 1, 0.0
         lam = ritz
-        basis = np.vstack([basis, w / b])
     return math.nan
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     }
 
 
+def _json_name(kind: type) -> str:
+    return {int: "a number", float: "a number", bool: "true/false", str: "a string",
+            type(None): "null", list: "an array", dict: "an object"}.get(kind, kind.__name__)
+
+
 def obj_to_matrix(obj: dict, name: str = "matrix") -> np.ndarray:
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
@@ -56,10 +62,18 @@ def obj_to_matrix(obj: dict, name: str = "matrix") -> np.ndarray:
                             f"got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise InvalidMatrix(f"{name}: need rows and cols >= 1, got {rows}x{cols}")
+    bad = f"{name}: entries are not [re, im] number pairs"
+    # JSON numbers only: float64 conversion would take true as 1 and "1.5" as 1.5
+    if type(entries) is not list:
+        raise InvalidMatrix(f"{bad}: found {_json_name(type(entries))}")
+    kinds = (set(map(type, entries)) - {list}
+             or set(map(type, chain.from_iterable(entries))) - {int, float})
+    if kinds:
+        raise InvalidMatrix(f"{bad}: found {', '.join(sorted(set(map(_json_name, kinds))))}")
     try:
         pairs = np.array(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidMatrix(f"{name}: entries are not [re, im] number pairs: {exc}") from exc
+        raise InvalidMatrix(f"{bad}: {exc}") from exc
     if pairs.shape != (rows * cols, 2):
         raise InvalidMatrix(f"{name}: expected {rows * cols} [re, im] entries, "
                             f"got an array of shape {pairs.shape}")
@@ -105,6 +119,7 @@ def load_matrix(path: str | Path) -> np.ndarray:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidMatrix(f"{path}: invalid JSON: {exc}") from exc
+    del text  # the parsed lists hold the numbers now: free the text before converting them
     return obj_to_matrix(obj, str(path))
 
 

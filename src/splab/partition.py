@@ -163,6 +163,8 @@ def _side1_indices(lam: np.ndarray, sel: Selector) -> list[int]:
         if len(idx) == n:
             raise EmptySide("indices: selector captured every eigenvalue")
         return idx
+    if not (np.isfinite(sel.center) and np.isfinite(sel.radius)):
+        raise SpecViolation(f"disk: centre {sel.center} and radius {sel.radius} must be finite")
     if sel.radius <= 0:
         raise SpecViolation("disk: radius must be positive")
     dist = np.abs(lam - sel.center)

@@ -401,6 +401,64 @@ def test_sep_frobenius_of_report_blocks_is_unitarily_invariant(monkeypatch):
         assert len(calls) == (2 if l1.shape[0] > 1 or l2.shape[0] > 1 else 0)
 
 
+def lanczos_steps(monkeypatch):
+    """The number of Lanczos steps taken from now: two solves per step."""
+    solves = []
+    ztrsyl = splab.bounds.ztrsyl
+    monkeypatch.setattr(splab.bounds, "ztrsyl",
+                        lambda *a, **kw: solves.append(1) or ztrsyl(*a, **kw))
+    return lambda: len(solves) // 2
+
+
+def test_sep_frobenius_values_are_pinned_bit_for_bit(monkeypatch):
+    # reprs recorded before the Krylov basis became one growing buffer
+    calls = schur_spy(monkeypatch)
+    a48 = SplitMix64(48).complex_normals(48, 48) / np.sqrt(96.0)
+    blocks = {"0.04792392255360338": report_blocks(a48, 12),
+              "0.20702142673141605": report_blocks(gen_example(Example11(1e-4))[0], 2),
+              "0.20710678118654757": report_blocks(gen_example(Example11(1e-24))[0], 2),
+              "0.12203474969472641": report_blocks(*random_diagonalizable_case(0)[::2]),
+              "0.018749067464144772": report_blocks(*random_diagonalizable_case(3)[::2])}
+    assert [repr(sep_frobenius(l1, l2)) for l1, l2 in blocks.values()] == list(blocks)
+    assert calls == []
+    # general blocks take the Schur route
+    assert repr(sep_frobenius(*non_normal_pair(SplitMix64(62), 3, 2))) == "0.13007861404422935"
+    assert calls == [(3, 3), (2, 2)]
+    # a restart after the start vector spans an invariant Krylov space
+    monkeypatch.setattr(splab.bounds, "_sep_vectors",
+                        lambda size: iter([np.ones(size), np.eye(size)[0]]))
+    l1 = np.array([[5.0, 3.0], [0.0, 4.0]], dtype=np.complex128)
+    assert repr(sep_frobenius(l1, np.zeros((1, 1)))) == "3.162277660168379"
+
+
+def test_sep_frobenius_grows_its_krylov_basis_in_place(monkeypatch):
+    steps = lanczos_steps(monkeypatch)
+    # a report split whose Lanczos run outlasts the first buffer of rows
+    a = SplitMix64(24030).complex_normals(24, 24) / np.sqrt(48.0)
+    assert repr(sep_frobenius(*report_blocks(a, 6))) == "0.15747649774442793"
+    assert steps() == 17 > splab.bounds._SEP_BASIS_ROWS
+    # a clustered spectrum that fills the buffer three times
+    before = steps()
+    l1 = np.diag(1.0 + 1e-3 * np.arange(40)).astype(np.complex128)
+    assert sep_frobenius(l1, np.zeros((1, 1))) == 1.0
+    assert steps() - before == 33
+
+
+def test_sep_frobenius_peak_memory_at_n120():
+    import tracemalloc
+    a = SplitMix64(120).complex_normals(120, 120) / np.sqrt(240.0)
+    l1, l2 = report_blocks(a, 30)
+    sep = sep_frobenius(l1, l2)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert sep_frobenius(l1, l2) == sep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 11 steps of 2700-long vectors: one basis buffer of 16 rows is 0.66 MiB
+    assert peak <= 1.25 * 2**20
+
+
 def test_sep_lower_bound_examples():
     assert sep_lower_bound(0.4, 1.0, 1.0) == 0.4
     assert sep_lower_bound(0.49, 100.0, 1.0) == pytest.approx(4.9e-3)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splab
 from splab.cli import main
 from splab.experiments import (
     Example11,
@@ -19,6 +20,10 @@ from splab.experiments import (
 )
 from splab.io import load_matrix, save_matrix
 from splab.rng import SplitMix64
+
+
+# the child processes import the same sources as this test run
+SRC = str(Path(splab.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
@@ -176,11 +181,10 @@ def test_report_on_a_spectrum_wider_than_the_largest_float(tmp_path):
     # report ended in an `arange: cannot compute length` traceback
     path = tmp_path / "a.json"
     save_matrix(path, np.diag([1e308, -1e308, 5e307j, -5e307j]))
-    src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "splab.cli", "report", "--input", str(path),
          "--perturb", "gaussian:1e-6", "--select", "topk:2"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=False)
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=False)
     assert done.returncode in (0, 1, 2, 3)
     assert "Traceback" not in done.stderr
     if done.returncode in (0, 2):
@@ -206,9 +210,8 @@ codes = [main(argv) for argv in (
 )]
 print(codes[0] in (0, 2), codes[1:], "scipy.optimize" in sys.modules)
 """
-    src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True [0, 0] False\n"
@@ -327,6 +330,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--select", "disk:0+0i:0.5:inside") == 1
     assert capsys.readouterr().err == (
         "splab: disk: eigenvalue index 1 within 5.0e-10 of the boundary\n")
+    # a centre or radius that is not finite is named as such
+    for sel, err in (("disk:0+0i:nan:inside", "centre 0j and radius nan"),
+                     ("disk:nan+0i:1:inside", "centre (nan+0j) and radius 1.0")):
+        assert run_cli("report", "--input", str(three), "--perturb", "unit:1,1,1e-6",
+                       "--select", sel) == 1
+        assert capsys.readouterr().err == f"splab: disk: {err} must be finite\n"
 
 
 MALFORMED_INPUTS = {
@@ -335,6 +344,9 @@ MALFORMED_INPUTS = {
     "object-entry": '{"rows": 1, "cols": 1, "entries": [{"re": 1, "im": 0}]}',
     "three-element-entry": '{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}',
     "zero-by-zero": '{"rows": 0, "cols": 0, "entries": []}',
+    "boolean-entries": '{"rows": 1, "cols": 1, "entries": [[true, false]]}',
+    "string-entries": '{"rows": 1, "cols": 1, "entries": [["1.5", "0"]]}',
+    "null-entry": '{"rows": 1, "cols": 1, "entries": [[null, 0]]}',
     "undecodable-csv": b"\xff\xfe1,2\n3,4\n",
     "directory-input": None,
     "directory-perturbation": None,
@@ -487,12 +499,11 @@ def test_seed_env_var_is_ignored(tmp_path):
     # output byte and break no command
     a_path = tmp_path / "a.json"
     run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path))
-    src = Path(__file__).resolve().parents[1] / "src"
     report = [sys.executable, "-m", "splab.cli", "report", "--input", str(a_path),
               "--perturb", "gaussian:1e-6", "--select", "topk:2"]
 
     def run(argv, seed_env):
-        env = dict(os.environ, SPLAB_SEED=seed_env, PYTHONPATH=str(src))
+        env = dict(os.environ, SPLAB_SEED=seed_env, PYTHONPATH=SRC)
         return subprocess.run(argv, env=env, capture_output=True, check=False)
 
     from_env = run(report, "7")

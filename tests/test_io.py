@@ -59,6 +59,44 @@ def test_matrix_obj_shape_must_be_json_integers(rows, cols):
         obj_to_matrix({"rows": rows, "cols": cols, "entries": [[1, 0]]})
 
 
+@pytest.mark.parametrize("entries, found", [
+    ([[True, False]], "true/false"),
+    ([["1.5", "0"]], "a string"),
+    ([[None, 0]], "null"),
+    ([{"re": 1, "im": 0}], "an object"),
+    ([[[1, 0]]], "an array"),
+    ([1, 0], "a number"),
+    ("10", "a string"),
+], ids=["bool", "string", "null", "object", "nested", "flat", "string-entries"])
+def test_matrix_obj_entries_must_be_json_number_pairs(entries, found):
+    # float64 conversion loaded true as 1 and "1.5" as 1.5, and called null non-finite
+    with pytest.raises(InvalidMatrix,
+                       match=rf"entries are not \[re, im\] number pairs: found {found}$"):
+        obj_to_matrix({"rows": 1, "cols": 1, "entries": entries})
+
+
+def test_matrix_obj_json_integers_and_floats_load_bit_for_bit():
+    m = obj_to_matrix({"rows": 1, "cols": 3, "entries": [[1, 0], [2.5, -0.0], [-3, 1e-300]]})
+    expected = np.array([[1, complex(2.5, -0.0), complex(-3, 1e-300)]])
+    assert m.tobytes() == expected.tobytes()
+
+
+def test_load_matrix_peak_memory_at_n120(tmp_path):
+    import tracemalloc
+    path = tmp_path / "a.json"
+    save_matrix(path, SplitMix64(120).complex_normals(120, 120))
+    load_matrix(path)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        m = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (120, 120)
+    # the file text (0.62 MB) is freed before the parsed lists are converted
+    assert peak < 3.0e6
+
+
 def test_load_matrix_ignores_a_utf8_byte_order_mark(tmp_path):
     texts = {"m.json": '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, -2.5]]}\n',
              "m.csv": "1, -2.5i\n"}
