@@ -7,6 +7,16 @@ side, verifies the exact identities behind the product bound, and ships the
 worked example families plus sweep harnesses used by the acceptance suite.
 """
 
+import os
+
+# One BLAS thread: a threaded BLAS splits its sums by the thread count, so the
+# last bits of a printed number would depend on the host.  The count is read
+# when the BLAS library loads, so this holds only if numpy is not loaded yet,
+# as in the `splab` console script and `python -m splab.cli`.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from .angles import SubspaceDistance, orth_complement, principal_angles, sin_theta_norm
 from .bounds import (
     Analysis,

@@ -4,7 +4,7 @@ Commands: eig, report, verify, example, sweep.  Exit codes are a stable
 contract: 0 success, 1 usage, parse or selector failure (including a selector
 that leaves one side of the split empty or puts an eigenvalue on a disk
 boundary), 2 an assumption flag fired (the report is still written),
-3 numerical failure.
+3 numerical failure, including running out of memory.
 
 Every numerical threshold is a constant beside the check that reads it
 (``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -67,6 +68,10 @@ def _seed(text: str) -> int:
     return seed
 
 
+# built once per process: parse_args returns a fresh Namespace on every call,
+# _Parser.error raises instead of keeping state, and nothing changes the
+# parser after it is built
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splab",
                      description="Invariant-subspace perturbation workbench")
@@ -262,7 +267,7 @@ def main(argv=None) -> int:
             BoundaryAmbiguity, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
-    except SplabError as exc:
+    except (SplabError, MemoryError) as exc:
         sys.stderr.write(f"splab: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 

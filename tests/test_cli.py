@@ -539,3 +539,68 @@ def test_seeds_outside_64_bits_exit_1(tmp_path, capsys):
         assert run_cli("verify", "dominance", "--seed", last, *extra) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"splab: --seed {last}: case ") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a 100000 x 100000 complex matrix needs 149 GiB; numpy's MemoryError
+    # escaped main as a traceback
+    import splab.experiments
+    message = ("Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+               "and data type complex128")
+
+    def out_of_memory(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(splab.experiments, "gen_example", out_of_memory)
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert run_cli("example", "v2necessityn", "--n", "100000", "--delta", "0.1",
+                   "--delta1", "0.01", "--eps", "1e-6", "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"splab: MemoryError: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_repeated_in_process_calls_behave_like_first_calls(tmp_path, capsys):
+    a_path = tmp_path / "a.json"
+    assert run_cli("example", "example11", "--eps", "1e-4", "--out", str(a_path)) == 0
+    report = ("report", "--input", str(a_path), "--perturb", "gaussian:1e-6",
+              "--select", "topk:2")
+    outs = [tmp_path / f"call{k}.json" for k in range(7)]
+    capsys.readouterr()
+    codes = [
+        run_cli(*report, "--match", "nearest", "--out", str(outs[1])),
+        run_cli(*report, "--match", "bogus", "--out", str(outs[2])),
+        run_cli(*report, "--out", str(outs[3])),
+        run_cli(*report, "--seed", "42", "--out", str(outs[4])),
+        run_cli("verify", "contour", "--out", str(outs[5])),
+        run_cli(*report, "--match", "nearest", "--out", str(outs[6])),
+    ]
+    assert codes == [0, 1, 0, 0, 0, 0]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("splab: argument --match: invalid choice: 'bogus'")
+    assert err[1:] == ["verify contour: all 7 cases passed"]
+    assert not outs[2].exists()
+    assert json.loads(outs[1].read_text())["match_strategy"] == "nearest-assignment"
+    assert json.loads(outs[3].read_text())["match_strategy"] == "same-selector"
+    assert outs[3].read_bytes() == outs[4].read_bytes()
+    assert outs[1].read_bytes() == outs[6].read_bytes()
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a threaded BLAS splits its sums by the thread count: at two threads the
+    # n=120 report's dA_spec read 1.0000000000000002e-06 instead of
+    # 9.9999999999999974e-07, and every numeric field differed
+    n = 120
+    path = tmp_path / "a.json"
+    save_matrix(path, SplitMix64(n).complex_normals(n, n) / np.sqrt(2 * n))
+    argv = [sys.executable, "-m", "splab.cli", "report", "--input", str(path),
+            "--perturb", "gaussian:1e-6", "--select", "topk:30"]
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    runs = [subprocess.run(argv, env=dict(base, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=False)
+            for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stderr == runs[1].stderr == b""
+    assert runs[0].stdout == runs[1].stdout
