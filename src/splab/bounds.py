@@ -90,21 +90,42 @@ class Analysis:
     a_norm: float
 
     def perturb(self, da) -> Analysis:
-        """The analysis of A + ``da``: reruns only eig(A + dA) and the match."""
+        """The analysis of A + ``da``: reruns only eig(A + dA) and the match.
+        Raises OverflowError when an entry of A + dA overflows."""
         da = as_matrix(da, "dA")
         if self.a.shape != da.shape:
             raise ShapeMismatch(f"analyze: A is {self.a.shape} but dA is {da.shape}")
-        part_t = match_partition(eig(self.a + da), self.part, self.match)
+        with np.errstate(over="ignore"):
+            a_tilde = self.a + da
+        if not np.isfinite(a_tilde).all():
+            raise OverflowError("A+dA: an entry overflows the largest float")
+        part_t = match_partition(eig(a_tilde), self.part, self.match)
         if part_t.r != self.part.r:
             raise ShapeMismatch(f"match(A+dA): block sizes differ (A+dA keeps {part_t.r}, "
                                 f"A keeps {self.part.r}); try --match nearest")
         return replace(self, da=da, part_tilde=part_t)
 
     @functools.cached_property
+    def _in_range(self) -> tuple[int, np.ndarray, float, float]:
+        """(e, gaps, a, ||dA||_F), the last three times 2**-e, where 2**-e
+        brings ||A||_2, ||dA||_2 and ||dA||_F into range
+        (``linalg._into_safe_range``).  No eigenvalue of A or A + dA exceeds
+        ||A||_2 + ||dA||_2 in modulus, so there neither a nor a gap
+        overflows, and the product bound, a function of their ratios, is
+        evaluated on them."""
+        e, (scaled,) = _into_safe_range(np.array([self.a_norm, *self.da_norms]))
+        a_norm, da_spec, da_frob = scaled.tolist()
+        l1t, l2 = (_times_power_of_two(lam, -e)
+                   for lam in (self.part_tilde.lambda1, self.part.lambda2))
+        gaps = np.min(np.abs(l1t[:, np.newaxis] - l2[np.newaxis, :]), axis=1)
+        return e, gaps, a_norm + da_spec + float(np.max(np.abs(l2))), da_frob
+
+    @functools.cached_property
     def gaps(self) -> np.ndarray:
-        """Distance from each perturbed kept eigenvalue to the complement set."""
-        return np.min(np.abs(self.part_tilde.lambda1[:, np.newaxis]
-                             - self.part.lambda2[np.newaxis, :]), axis=1)
+        """Distance from each perturbed kept eigenvalue to the complement set,
+        inf where it overflows."""
+        with np.errstate(over="ignore"):
+            return _times_power_of_two(self._in_range[1], self._in_range[0])
 
     @functools.cached_property
     def delta_lambda(self) -> float:
@@ -117,8 +138,9 @@ class Analysis:
 
     @functools.cached_property
     def a_scale(self) -> float:
-        """a = ||A||_2 + ||dA||_2 + rho(L2) of the product bound."""
-        return self.a_norm + self.da_norms[0] + float(np.max(np.abs(self.part.lambda2)))
+        """a = ||A||_2 + ||dA||_2 + rho(L2) of the product bound, inf where it
+        overflows."""
+        return _times_power_of_two(self._in_range[2], self._in_range[0])
 
     @functools.cached_property
     def product_bound(self) -> tuple[float, float]:
@@ -126,14 +148,14 @@ class Analysis:
         when the post-perturbation gap is zero."""
         if self.delta_lambda == 0.0:
             raise GapViolated("analyze: post-perturbation gap is zero")
-        kappa_v2, da_frob, a = self.part.qr_v2.kappa, self.da_norms[1], self.a_scale
+        _, gaps, a, da_frob = self._in_range
         if da_frob == 0.0:
             return 0.0, 0.0
-        lead = kappa_v2 * da_frob / a
+        lead = self.part.qr_v2.kappa * da_frob / a
         with np.errstate(over="ignore"):
-            perj = lead * float(np.prod(1.0 + a / self.gaps))
+            perj = lead * float(np.prod(1.0 + a / gaps))
         try:
-            dl = lead * (1.0 + a / self.delta_lambda) ** self.gaps.shape[0]
+            dl = lead * (1.0 + a / float(np.min(gaps))) ** gaps.shape[0]
         except OverflowError:  # a float power raises where a product gives inf
             dl = math.inf
         return float(perj), float(dl)
@@ -146,13 +168,16 @@ class Analysis:
 def analyze(a_mat, da, selector: Selector, match: MatchStrategy | None = None) -> Analysis:
     """eig(A) and its partition, then ``perturb`` of the dA = 0 analysis (whose
     matched partition is A's own) by ``da``.  ``match`` defaults to
-    reapplying ``selector`` to the perturbed spectrum."""
+    reapplying ``selector`` to the perturbed spectrum.
+
+    Only the partition and ||A||_2 are kept from eig(A): its decomposition is
+    released before eig(A + dA) runs, so the two are never alive together."""
     a_mat = as_matrix(a_mat, "A")
     ed = eig(a_mat)
-    part = partition(ed, selector)
+    part, a_norm = partition(ed, selector), ed.a_norm
+    del ed
     return Analysis(a=a_mat, da=np.zeros_like(a_mat), part=part, part_tilde=part,
-                    match=match or SameSelector(selector),
-                    a_norm=ed.a_norm).perturb(da)
+                    match=match or SameSelector(selector), a_norm=a_norm).perturb(da)
 
 
 def new_bound(a_mat, da, part: SpectralPartition,

@@ -4,7 +4,8 @@ Commands: eig, report, verify, example, sweep.  Exit codes are a stable
 contract: 0 success, 1 usage, parse or selector failure (including a selector
 that leaves one side of the split empty or puts an eigenvalue on a disk
 boundary), 2 an assumption flag fired (the report is still written),
-3 numerical failure, including running out of memory.
+3 numerical failure, including an A+dA with an entry that overflows and
+running out of memory.
 
 Every numerical threshold is a constant beside the check that reads it
 (``linalg.KAPPA_CAP``, ``partition.DISK_TOL``, ...), so no option changes
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
             BoundaryAmbiguity, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"splab: {exc}\n")
         return EXIT_USAGE
-    except (SplabError, MemoryError) as exc:
+    except (SplabError, OverflowError, MemoryError) as exc:
         sys.stderr.write(f"splab: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -30,14 +30,6 @@ class Example11:
 
 
 @dataclass(frozen=True)
-class TightR2:
-    """3x3 lower-bidiagonal family showing the squared-gap dependence."""
-
-    delta: float
-    eps: float
-
-
-@dataclass(frozen=True)
 class TightGeneral:
     """(r+1)x(r+1) lower-bidiagonal family showing the r-th power dependence."""
 
@@ -47,17 +39,9 @@ class TightGeneral:
 
 
 @dataclass(frozen=True)
-class V2Necessity3:
-    """3x3 family showing the dual-basis condition number cannot be dropped."""
-
-    delta: float
-    delta1: float
-    eps: float
-
-
-@dataclass(frozen=True)
 class V2NecessityN:
-    """n-dimensional variant of the necessity family."""
+    """n x n family, n >= 3, showing the dual-basis condition number cannot
+    be dropped."""
 
     n: int
     delta: float
@@ -65,11 +49,11 @@ class V2NecessityN:
     eps: float
 
 
-ExampleSpec = Union[Example11, TightR2, TightGeneral, V2Necessity3, V2NecessityN]
+ExampleSpec = Union[Example11, TightGeneral, V2NecessityN]
 
 # CLI family name -> spec class; each field is read from the flag of its name
-FAMILIES = {"example11": Example11, "tightr2": TightR2, "tightgeneral": TightGeneral,
-            "v2necessity3": V2Necessity3, "v2necessityn": V2NecessityN}
+FAMILIES = {"example11": Example11, "tightgeneral": TightGeneral,
+            "v2necessityn": V2NecessityN}
 
 
 @dataclass(frozen=True)
@@ -97,16 +81,11 @@ def gen_example(spec: ExampleSpec) -> tuple[np.ndarray, ExampleFacts]:
     """
     if isinstance(spec, Example11):
         return _gen_example11(spec)
-    if isinstance(spec, TightR2):
-        a, facts = _gen_tight(TightGeneral(r=2, delta=spec.delta, eps=spec.eps))
-        return a, facts
     if isinstance(spec, TightGeneral):
         return _gen_tight(spec)
-    if isinstance(spec, V2Necessity3):
-        return _gen_necessity(3, spec.delta, spec.delta1, spec.eps)
     if isinstance(spec, V2NecessityN):
-        if spec.n < 4:
-            raise SpecViolation("V2NecessityN: need n >= 4")
+        if spec.n < 3:
+            raise SpecViolation("V2NecessityN: need n >= 3")
         return _gen_necessity(spec.n, spec.delta, spec.delta1, spec.eps)
     raise SpecViolation(f"unknown example family {spec!r}")
 
@@ -331,10 +310,8 @@ def run_v2_necessity(delta: float, delta1: float, eps: float,
                      n: int | None = None) -> dict:
     """Necessity check for the dual-basis condition number: the full bound
     must dominate the measured distance while the bound divided by k2(V2)
-    must fail to, in the regime delta1 <= delta/10."""
-    spec = V2Necessity3(delta, delta1, eps) if n is None \
-        else V2NecessityN(n, delta, delta1, eps)
-    a, facts = gen_example(spec)
+    must fail to, in the regime delta1 <= delta/10.  ``n`` of None is 3."""
+    a, facts = gen_example(V2NecessityN(3 if n is None else n, delta, delta1, eps))
     rep = full_report(a, facts.perturbation, facts.selector)
     reduced = rep.new_value_perj / rep.kappa_V2
     strict_regime = delta1 <= delta / 10.0

@@ -172,7 +172,7 @@ _SAFE_EXPONENT = 256
 
 
 def _into_safe_range(*arrays) -> tuple[int, tuple]:
-    """(e, complex128 ``arrays`` times 2**-e), exact.  e is 0 while the
+    """(e, float64 or complex128 ``arrays`` times 2**-e), exact.  e is 0 while the
     largest real or imaginary part lies within 2**±``_SAFE_EXPONENT``, and
     otherwise its power-of-two exponent, which scales it into [1/2, 1).  The
     parts are read, not the moduli: the modulus of 1.5e308+1.5e308j

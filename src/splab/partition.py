@@ -102,8 +102,10 @@ class SpectralPartition:
 
     Column order inside each block preserves the global eigenvalue ordering;
     ``lam`` is the parent decomposition's sorted spectrum and ``idx1``/``idx2``
-    record each block's positions in it.  The QR factors of ``x1`` and ``v2`` are
-    built on first access, so RankDeficient surfaces there.
+    record each block's positions in it.  Of the eigenvector blocks it keeps
+    X1, the dual basis V2 of the complement and V1; X2 is read by no bound.
+    The QR factors of ``x1`` and ``v2`` are built on first access, so
+    RankDeficient surfaces there.
     """
 
     r: int
@@ -111,7 +113,6 @@ class SpectralPartition:
     lambda1: np.ndarray
     lambda2: np.ndarray
     x1: np.ndarray
-    x2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     idx1: tuple[int, ...]
@@ -184,17 +185,14 @@ def _build(ed: EigenDecomposition, idx1: list[int]) -> SpectralPartition:
     n = ed.n
     kept = set(idx1)
     idx2 = [i for i in range(n) if i not in kept]
-    x1, x2 = ed.x[:, idx1], ed.x[:, idx2]
-    v1, v2 = ed.v[:, idx1], ed.v[:, idx2]
     return SpectralPartition(
         r=len(idx1),
         lam=ed.lam,
         lambda1=ed.lam[idx1],
         lambda2=ed.lam[idx2],
-        x1=x1,
-        x2=x2,
-        v1=v1,
-        v2=v2,
+        x1=ed.x[:, idx1],
+        v1=ed.v[:, idx1],
+        v2=ed.v[:, idx2],
         idx1=tuple(idx1),
         idx2=tuple(idx2),
     )
@@ -243,10 +241,10 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
     """
     if isinstance(strategy, SameSelector):
         return partition(ed_tilde, strategy.selector)
-    lam_base = base.lam
-    lam_t = ed_tilde.lam
-    if lam_t.shape[0] != lam_base.shape[0]:
+    if ed_tilde.n != base.lam.shape[0]:
         raise ShapeMismatch("match_partition: spectra have different sizes")
+    # the matching of 2**-e times both spectra is theirs, and its costs cannot overflow
+    exponent, (lam_t, lam_base) = _into_safe_range(ed_tilde.lam, base.lam)
     cost = np.abs(lam_t[:, np.newaxis] - lam_base[np.newaxis, :])
     assigned = _min_cost_assignment(cost)
     base1 = set(base.idx1)
@@ -262,17 +260,19 @@ def match_partition(ed_tilde: EigenDecomposition, base: SpectralPartition,
             if swap < ASSIGN_TOL * scale:
                 raise AssignmentAmbiguous(
                     f"match_partition: swapping rows {i} and {k} changes the "
-                    f"cost by {swap:.3e}")
+                    f"cost by {_times_power_of_two(swap, exponent):.3e}")
     return _build(ed_tilde, side1)
 
 
 def gap_delta1(lambda1, lambda2) -> float:
-    """Minimum modulus distance between the two spectral sets."""
+    """Minimum modulus distance between the two spectral sets, inf where it
+    overflows."""
     l1 = np.atleast_1d(np.asarray(lambda1, dtype=np.complex128))
     l2 = np.atleast_1d(np.asarray(lambda2, dtype=np.complex128))
     if l1.size == 0 or l2.size == 0:
         raise EmptySide("gap_delta1: both spectral sets must be nonempty")
-    return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
+    with np.errstate(over="ignore"):
+        return float(np.min(np.abs(l1[:, np.newaxis] - l2[np.newaxis, :])))
 
 
 def _disk_margins(t: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:

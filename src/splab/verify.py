@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import analyze
 from .errors import SpecViolation
-from .experiments import Example11, TightR2, gen_example
+from .experiments import Example11, TightGeneral, gen_example
 from .linalg import eig, spectral_order
 from .oracles import (
     Contour,
@@ -185,7 +185,7 @@ def run_dominance_suite(base_seed: int, cases: int) -> list[dict]:
 def run_scaling_suite(base_seed: int) -> list[dict]:
     """Simultaneous scaling of (A, dA) by 1e-3 and 1e3 must leave the product
     bound and the measured distance unchanged to 1e-10 relative."""
-    a, facts = gen_example(TightR2(delta=0.1, eps=1e-4))
+    a, facts = gen_example(TightGeneral(r=2, delta=0.1, eps=1e-4))
     scenarios = [("tight-r2", a, facts.perturbation, 2),
                  ("dense-seeded", *random_diagonalizable_case(base_seed, da_divisor=20.0))]
     records = []

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from splab.bounds import (
 from splab.errors import GapViolated
 from splab.experiments import (
     Example11,
-    TightR2,
+    TightGeneral,
     gen_example,
     gen_gaussian_perturbation,
 )
@@ -119,7 +121,7 @@ def test_new_bound_gap_violated():
 
 
 def test_new_bound_scale_invariance():
-    a, facts = gen_example(TightR2(delta=0.1, eps=1e-4))
+    a, facts = gen_example(TightGeneral(r=2, delta=0.1, eps=1e-4))
     da = facts.perturbation
     part = partition(eig(a), TopKMagnitude(2))
     part_t = match_partition(eig(a + da), part, NearestAssignment())
@@ -503,7 +505,7 @@ def test_full_report_example11_matches_reference_columns():
 
 def test_full_report_tight_family_magnitude():
     # witness angle scale eps/(2 delta^2) = 5e-3 at (delta, eps) = (0.1, 1e-4)
-    a, facts = gen_example(TightR2(delta=0.1, eps=1e-4))
+    a, facts = gen_example(TightGeneral(r=2, delta=0.1, eps=1e-4))
     rep = full_report(a, facts.perturbation, facts.selector)
     lead = facts.witness_sin_leading
     assert rep.measured_sin == pytest.approx(lead, rel=1.0)
@@ -602,6 +604,25 @@ def test_analyze_perturb_matches_a_fresh_analysis():
         assert moved.product_bound == fresh.product_bound
         assert moved.measured_sin == fresh.measured_sin
         assert moved.da_norms == fresh.da_norms
+
+
+def test_analyze_releases_the_decomposition_of_a_before_eig_of_a_plus_da(monkeypatch):
+    # only A's partition and ||A||_2 outlive eig(A), so its eigenvectors are
+    # not held while eig(A + dA) runs
+    a = SplitMix64(48).complex_normals(48, 48) / np.sqrt(96)
+    refs, alive = [], []
+
+    def spy(mat):
+        if refs:
+            gc.collect()
+            alive.append(refs[0]() is not None)
+        ed = eig(mat)
+        refs.append(weakref.ref(ed))
+        return ed
+
+    monkeypatch.setattr(splab.bounds, "eig", spy)
+    full_report(a, gen_gaussian_perturbation(48, 1e-6, 7), TopKMagnitude(12))
+    assert len(refs) == 2 and alive == [False]
 
 
 def test_classical_bound_dominates_tangent_distance():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,6 @@ from splab.cli import main
 from splab.experiments import (
     Example11,
     TightGeneral,
-    TightR2,
-    V2Necessity3,
     V2NecessityN,
     gen_example,
 )
@@ -178,25 +177,45 @@ def test_report_with_an_overflowing_product_bound_prints_inf(tmp_path, capsys):
 
 def test_report_on_a_spectrum_wider_than_the_largest_float(tmp_path):
     # the spectrum's width, 2e308, overflowed gap_delta0's bounding box and the
-    # report ended in an `arange: cannot compute length` traceback
+    # report ended in an `arange: cannot compute length` traceback; on the 2x2
+    # matrix a and the gaps overflow, and a / gaps printed the product bound as nan
+    cases = [((1e308, -1e308, 5e307j, -5e307j), "topk:2", "same", 5e307),
+             ((1e308, -1e308), "topk:1", "same", math.inf),
+             ((1e308, -1e308), "topk:1", "nearest", math.inf)]
+    for diagonal, select, match, delta0 in cases:
+        path = tmp_path / "a.json"
+        save_matrix(path, np.diag(diagonal))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "splab.cli", "report", "--input", str(path),
+             "--perturb", "gaussian:1e-6", "--select", select, "--match", match],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=False)
+        assert done.returncode in (0, 1, 2, 3)
+        assert "Traceback" not in done.stderr
+        if done.returncode in (0, 2):
+            assert done.stderr == ""
+            report = json.loads(done.stdout)
+            assert "nan" not in report.values()
+            assert float(report["delta0"]) == pytest.approx(delta0, rel=1e-7)
+        else:
+            assert done.stderr.startswith("splab: ") and done.stderr.count("\n") == 1
+
+
+def test_report_names_an_a_plus_da_that_overflows(tmp_path):
+    # A is valid, but A+dA is not: a numerical failure, not an input error
     path = tmp_path / "a.json"
-    save_matrix(path, np.diag([1e308, -1e308, 5e307j, -5e307j]))
+    save_matrix(path, np.diag([1e308, -1e308]))
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "splab.cli", "report", "--input", str(path),
-         "--perturb", "gaussian:1e-6", "--select", "topk:2"],
+         "--perturb", "unit:1,1,1e308", "--select", "topk:1"],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=False)
-    assert done.returncode in (0, 1, 2, 3)
-    assert "Traceback" not in done.stderr
-    if done.returncode in (0, 2):
-        assert done.stderr == ""
-        assert float(json.loads(done.stdout)["delta0"]) == pytest.approx(5e307, rel=1e-7)
-    else:
-        assert done.stderr.startswith("splab: ") and done.stderr.count("\n") == 1
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "splab: OverflowError: A+dA: an entry overflows the largest float\n"
 
 
 def test_cli_calls_do_not_import_scipy_optimize(tmp_path):
-    # scipy.optimize costs about 0.2 s of start-up: no general-path report with
-    # nearest matching, contour suite or table1 sweep may import it
+    # scipy.optimize costs about 0.2 s of start-up and scipy.spatial 0.3-0.4 s:
+    # no general-path report with nearest matching, contour suite or table1
+    # sweep may import either
     path = tmp_path / "a.json"
     save_matrix(path, SplitMix64(8).complex_normals(8, 8) / 4.0)
     script = f"""
@@ -208,30 +227,27 @@ codes = [main(argv) for argv in (
     ["verify", "contour", "--out", {str(tmp_path / "contour.json")!r}],
     ["sweep", "table1", "--out", {str(tmp_path / "table1.csv")!r}],
 )]
-print(codes[0] in (0, 2), codes[1:], "scipy.optimize" in sys.modules)
+print(codes[0] in (0, 2), codes[1:], "scipy.optimize" in sys.modules,
+      "scipy.spatial" in sys.modules)
 """
     done = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "True [0, 0] False\n"
+    assert done.stdout == "True [0, 0] False False\n"
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["match_strategy"] == "nearest-assignment"
 
 
 EXAMPLE_FLAGS = {
     "example11": (("--eps", "1e-4"),),
-    "tightr2": (("--delta", "0.1"), ("--eps", "1e-5")),
     "tightgeneral": (("--r", "3"), ("--delta", "0.1"), ("--eps", "1e-6")),
-    "v2necessity3": (("--delta", "0.05"), ("--delta1", "0.005"), ("--eps", "1e-6")),
     "v2necessityn": (("--n", "6"), ("--delta", "0.05"), ("--delta1", "0.005"),
                      ("--eps", "1e-6")),
 }
 EXAMPLE_SPECS = {
     "example11": Example11(eps=1e-4),
-    "tightr2": TightR2(delta=0.1, eps=1e-5),
     "tightgeneral": TightGeneral(r=3, delta=0.1, eps=1e-6),
-    "v2necessity3": V2Necessity3(delta=0.05, delta1=0.005, eps=1e-6),
     "v2necessityn": V2NecessityN(n=6, delta=0.05, delta1=0.005, eps=1e-6),
 }
 

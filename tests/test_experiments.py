@@ -8,8 +8,6 @@ from splab.errors import IndexOutOfRange, SpecViolation
 from splab.experiments import (
     Example11,
     TightGeneral,
-    TightR2,
-    V2Necessity3,
     V2NecessityN,
     gen_example,
     gen_gaussian_perturbation,
@@ -49,7 +47,7 @@ def test_example11_display_and_facts():
 
 
 def test_tight_family_displays():
-    a, facts = gen_example(TightR2(delta=0.1, eps=1e-4))
+    a, facts = gen_example(TightGeneral(r=2, delta=0.1, eps=1e-4))
     expected = np.array([[1.0, 0, 0], [1.0, 0.9, 0], [0, 0, 0.8]],
                         dtype=np.complex128)
     assert np.array_equal(a, expected)
@@ -77,7 +75,7 @@ def test_tight_family_analytic_facts_match_computed_subspace():
     # perturbed invariant subspace
     from splab.partition import NearestAssignment, match_partition
 
-    a, facts = gen_example(TightR2(delta=0.1, eps=1e-4))
+    a, facts = gen_example(TightGeneral(r=2, delta=0.1, eps=1e-4))
     part = partition(eig(a), TopKMagnitude(2))
     part_t = match_partition(eig(a + facts.perturbation), part, NearestAssignment())
     q_t = part_t.qr_x1.q
@@ -88,7 +86,7 @@ def test_tight_family_analytic_facts_match_computed_subspace():
 
 
 def test_necessity_family_displays():
-    a, facts = gen_example(V2Necessity3(delta=0.05, delta1=0.05, eps=1e-5))
+    a, facts = gen_example(V2NecessityN(n=3, delta=0.05, delta1=0.05, eps=1e-5))
     expected = np.array([[1.05, 0, 0], [0, 1.0, 0], [0, 0.5, 0.95]],
                         dtype=np.complex128)
     assert np.array_equal(a, expected)
@@ -102,7 +100,7 @@ def test_necessity_family_displays():
     assert cond2(part.v2) == pytest.approx(1.0 / 0.05, rel=0.05)
     # the recorded leading term 1/delta1 is off by O(delta1^2), relatively
     for delta1 in (0.1, 0.01, 0.001):
-        for spec in (V2Necessity3(delta=0.05, delta1=delta1, eps=1e-6),
+        for spec in (V2NecessityN(n=3, delta=0.05, delta1=delta1, eps=1e-6),
                      V2NecessityN(n=5, delta=0.05, delta1=delta1, eps=1e-6)):
             mat, fam = gen_example(spec)
             kappa = full_report(mat, fam.perturbation, fam.selector).kappa_V2
@@ -115,13 +113,13 @@ def test_generator_guards():
         with pytest.raises(SpecViolation):
             gen_example(bad)
     with pytest.raises(SpecViolation):
-        gen_example(TightR2(delta=0.1, eps=1e-3))  # eps > 0.01 delta^2
+        gen_example(TightGeneral(r=2, delta=0.1, eps=1e-3))  # eps > 0.01 delta^2
     with pytest.raises(SpecViolation):
         gen_example(TightGeneral(r=4, delta=0.3, eps=1e-6))  # r*delta >= 1
     with pytest.raises(SpecViolation):
-        gen_example(V2Necessity3(delta=0.5, delta1=0.005, eps=1e-6))
+        gen_example(V2NecessityN(n=3, delta=0.5, delta1=0.005, eps=1e-6))
     with pytest.raises(SpecViolation):
-        gen_example(V2NecessityN(n=3, delta=0.05, delta1=0.005, eps=1e-6))
+        gen_example(V2NecessityN(n=2, delta=0.05, delta1=0.005, eps=1e-6))
 
 
 def test_unit_perturbation():

@@ -201,7 +201,7 @@ def test_contour_projector_example11_and_side2():
     proj = contour_projector(a, ed, contour)
     assert np.linalg.norm(proj - part.x1 @ part.v1.conj().T, 2) <= 1e-8
     proj2 = np.eye(3) - proj
-    assert np.linalg.norm(proj2 - part.x2 @ part.v2.conj().T, 2) <= 1e-8
+    assert np.linalg.norm(proj2 - ed.x[:, list(part.idx2)] @ part.v2.conj().T, 2) <= 1e-8
 
 
 def test_contour_projector_node_doubling_contracts():
