@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: eig, report, verify, example, sweep.  Exit codes are a stable
-contract: 0 success, 1 usage, parse or selector failure (including a selector
-that leaves one side of the split empty or puts an eigenvalue on a disk
-boundary), 2 an assumption flag fired (the report is still written),
+contract: 0 success, 1 usage, parse or selector failure (including a
+non-square input, a ``file:`` perturbation of another shape than A, and a
+selector that leaves one side of the split empty or puts an eigenvalue on a
+disk boundary), 2 an assumption flag fired (the report is still written),
 3 numerical failure, including an A+dA with an entry that overflows and
 running out of memory.
 
@@ -24,9 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -126,11 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _load_square(path: str, flag: str, n: int | None = None) -> np.ndarray:
+    """The matrix in the file at ``path``; it must be square, and n x n when
+    ``n`` is given."""
+    m = io.load_matrix(path)
+    rows, cols = m.shape
+    if rows != cols or n not in (None, rows):
+        want = "a square matrix" if n is None else f"{n}x{n}, the shape of A"
+        raise _UsageError(f"{flag}: {path} holds a {rows}x{cols} matrix; expected {want}")
+    return m
 
 
 def _parse_perturbation(spec: str, n: int, seed: int) -> np.ndarray:
@@ -150,23 +153,23 @@ def _parse_perturbation(spec: str, n: int, seed: int) -> np.ndarray:
         except ValueError as exc:
             raise _UsageError(f"--perturb gaussian: bad norm {rest!r}") from exc
     if kind == "file":
-        return io.load_matrix(rest)
+        return _load_square(rest, "--perturb file", n)
     raise _UsageError(f"--perturb: unknown kind {kind!r}")
 
 
 def _cmd_eig(args) -> int:
-    ed = eig(io.load_matrix(args.input))
-    _emit(json.dumps(io.eig_to_obj(ed), indent=2) + "\n", args.out)
+    ed = eig(_load_square(args.input, "--input"))
+    io.write_document(io.eig_to_obj(ed), args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    a = io.load_matrix(args.input)
+    a = _load_square(args.input, "--input")
     selector = parse_selector(args.select)
     da = _parse_perturbation(args.perturb, a.shape[0], args.seed)
     match = SameSelector(selector) if args.match == "same" else NearestAssignment()
     report = full_report(a, da, selector, match=match)
-    _emit(json.dumps(io.report_to_obj(report), indent=2) + "\n", args.out)
+    io.write_document(io.report_to_obj(report), args.out)
     if not (report.classical_valid and report.gap_ok and report.dominance_ok):
         return EXIT_ASSUMPTION
     return EXIT_OK
@@ -180,7 +183,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--seed {args.seed}: case {cases - 1} would run on a seed "
                           f"past 2**64 - 1")
     records = verify.run_suite(args.suite, args.seed, args.cases)
-    _emit(io.records_to_json(records), args.out)
+    io.write_document(io.records_to_json(records), args.out)
     failed = [rec for rec in records if not rec["pass"]]
     if failed:
         sys.stderr.write(f"verify {args.suite}: {len(failed)} of "
@@ -228,28 +231,29 @@ def _cmd_sweep(args) -> int:
     family = args.family.lower()
     if family in ("v2necessity", "special") and args.format == "csv":
         raise _UsageError(f"sweep {family} writes JSON only; --format csv does not apply")
-    if family == "table1":
-        eps_list = _float_list(args.eps_list, "--eps-list")
-        result = experiments.run_table1_sweep(eps_list, args.norm, args.seed)
-    elif family == "tightness":
-        deltas = _float_list(args.delta_list, "--delta-list")
-        result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule, args.seed)
-    elif family == "v2necessity":
+    notes, failed = (), False
+    if family == "v2necessity":
         record = experiments.run_v2_necessity(args.delta, args.delta1, args.eps, n=args.n)
-        _emit(io.records_to_json([record]), args.out)
-        return EXIT_OK
+        doc = io.records_to_json([record])
     elif family == "special":
         rows = experiments.run_special_perturbation_suite(args.eps, args.eps1)
-        _emit(io.records_to_json(rows), args.out)
-        return EXIT_NUMERICAL if any(not row["pass"] for row in rows) else EXIT_OK
+        failed = not all(row["pass"] for row in rows)
+        doc = io.records_to_json(rows)
     else:
-        raise _UsageError(f"unknown sweep family {args.family!r}")
-
-    text = io.sweep_to_json(result) if args.format == "json" else io.sweep_to_csv(result)
-    _emit(text, args.out)
-    for note in result.notes:
+        if family == "table1":
+            eps_list = _float_list(args.eps_list, "--eps-list")
+            result = experiments.run_table1_sweep(eps_list, args.norm, args.seed)
+        elif family == "tightness":
+            deltas = _float_list(args.delta_list, "--delta-list")
+            result = experiments.run_tightness_sweep(args.r, deltas, args.eps_rule, args.seed)
+        else:
+            raise _UsageError(f"unknown sweep family {args.family!r}")
+        doc = io.sweep_to_json(result) if args.format == "json" else io.sweep_to_csv(result)
+        notes = result.notes
+    io.write_document(doc, args.out)
+    for note in notes:
         sys.stderr.write(note + "\n")
-    return EXIT_OK
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def main(argv=None) -> int:

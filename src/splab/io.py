@@ -5,13 +5,16 @@ Matrix files are JSON objects {"rows": n, "cols": m, "entries": [[re, im],
 writers emit JSON only.  Report, record and sweep values follow one rule: a
 float becomes a decimal string with 17 significant digits (lossless for
 binary64; infinities as "inf"), a complex an [re, im] pair of such strings,
-and anything else passes through.
+and anything else passes through.  ``write_document`` writes every document
+the CLI prints.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -152,7 +155,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_to_json(result: SweepResult) -> str:
+def sweep_to_json(result: SweepResult) -> dict:
     obj = {
         "columns": list(result.columns),
         "rows": [{c: _value(row[c]) for c in result.columns} for row in result.rows],
@@ -160,9 +163,22 @@ def sweep_to_json(result: SweepResult) -> str:
     }
     if result.summary:
         obj["summary"] = {k: _value(v) for k, v in result.summary}
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
 
 
-def records_to_json(records: list[dict]) -> str:
-    out = [{k: _value(v) for k, v in rec.items()} for rec in records]
-    return json.dumps(out, indent=2) + "\n"
+def records_to_json(records: list[dict]) -> list[dict]:
+    return [{k: _value(v) for k, v in rec.items()} for rec in records]
+
+
+def write_document(doc, out: str | Path | None) -> None:
+    """Write ``doc`` to the file ``out``, or to stdout when ``out`` is None.
+
+    A str (CSV) is written as it is; anything else as JSON with indent 2 and
+    a trailing newline, streamed chunk by chunk so its text is never held
+    whole."""
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")

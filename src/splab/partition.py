@@ -103,7 +103,8 @@ class SpectralPartition:
     Column order inside each block preserves the global eigenvalue ordering;
     ``lam`` is the parent decomposition's sorted spectrum and ``idx1``/``idx2``
     record each block's positions in it.  Of the eigenvector blocks it keeps
-    X1, the dual basis V2 of the complement and V1; X2 is read by no bound.
+    X1 and the dual basis V2 of the complement; X2 and V1 are read by no
+    bound.
     The QR factors of ``x1`` and ``v2`` are built on first access, so
     RankDeficient surfaces there.
     """
@@ -113,7 +114,6 @@ class SpectralPartition:
     lambda1: np.ndarray
     lambda2: np.ndarray
     x1: np.ndarray
-    v1: np.ndarray
     v2: np.ndarray
     idx1: tuple[int, ...]
     idx2: tuple[int, ...]
@@ -191,7 +191,6 @@ def _build(ed: EigenDecomposition, idx1: list[int]) -> SpectralPartition:
         lambda1=ed.lam[idx1],
         lambda2=ed.lam[idx2],
         x1=ed.x[:, idx1],
-        v1=ed.v[:, idx1],
         v2=ed.v[:, idx2],
         idx1=tuple(idx1),
         idx2=tuple(idx2),

@@ -213,7 +213,7 @@ def run_contour_suite(base_seed: int) -> list[dict]:
     a, _ = gen_example(Example11(1e-4))
     ed = eig(a)
     part = partition(ed, TopKMagnitude(2))
-    reference = part.x1 @ part.v1.conj().T
+    reference = part.x1 @ ed.v[:, list(part.idx1)].conj().T
     errs = {n: projector_error(a, ed, reference, 0.3, n) for n in (256, 16, 32, 64)}
     records.append(_record("example11-circle-256", base_seed, errs[256], 1e-8))
     records.append(_record("example11-contract-16-32", base_seed,

@@ -354,6 +354,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"splab: disk: {err} must be finite\n"
 
 
+TWO_BY_THREE = '{"rows": 2, "cols": 3, "entries": [%s]}' % ", ".join(["[1, 0]"] * 6)
 MALFORMED_INPUTS = {
     "negative-shape": '{"rows": -1, "cols": -1, "entries": [[1, 0]]}',
     "non-integer-shape": '{"rows": 1.9, "cols": true, "entries": [[1, 0]]}',
@@ -366,6 +367,8 @@ MALFORMED_INPUTS = {
     "undecodable-csv": b"\xff\xfe1,2\n3,4\n",
     "directory-input": None,
     "directory-perturbation": None,
+    "non-square-input": TWO_BY_THREE,
+    "non-square-perturbation": TWO_BY_THREE,
 }
 
 
@@ -380,7 +383,7 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case):
     else:
         bad = tmp_path / ("bad.csv" if isinstance(content, bytes) else "bad.json")
         bad.write_bytes(content if isinstance(content, bytes) else content.encode())
-    if case == "directory-perturbation":
+    if case.endswith("-perturbation"):
         argv = ("report", "--input", str(good), "--perturb", f"file:{bad}",
                 "--select", "topk:1")
     else:
@@ -473,6 +476,39 @@ def test_sweep_special_and_v2necessity(tmp_path):
     rec = json.loads((tmp_path / "v2.json").read_text())[0]
     assert rec["measured_le_bound"] is True
     assert rec["measured_exceeds_reduced"] is True
+
+
+def _example11(tmp_path):
+    path = tmp_path / "a.json"
+    save_matrix(path, gen_example(Example11(1e-4))[0])
+    return str(path)
+
+
+WRITTEN_DOCUMENTS = {
+    "eig": lambda a: ("eig", "--input", a),
+    "report": lambda a: ("report", "--input", a, "--perturb", "gaussian:1e-6",
+                         "--select", "topk:2"),
+    "verify": lambda a: ("verify", "lemma33", "--cases", "5"),
+    "sweep-table1-csv": lambda a: ("sweep", "table1", "--eps-list", "1e-2,1e-6"),
+    "sweep-table1-json": lambda a: ("sweep", "table1", "--eps-list", "1e-2,1e-6",
+                                    "--format", "json"),
+    "sweep-v2necessity": lambda a: ("sweep", "v2necessity"),
+    "sweep-special": lambda a: ("sweep", "special"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN_DOCUMENTS))
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsysbinary, case):
+    argv = WRITTEN_DOCUMENTS[case](_example11(tmp_path))
+    out = tmp_path / "doc.out"
+    capsysbinary.readouterr()
+    code = run_cli(*argv)
+    to_stdout = capsysbinary.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == code
+    to_file = capsysbinary.readouterr()
+    assert to_stdout.out and to_file.out == b""
+    assert out.read_bytes() == to_stdout.out
+    assert to_file.err == to_stdout.err
 
 
 def test_report_nearest_match_strategy(tmp_path):

@@ -13,13 +13,16 @@ from splab.io import (
     load_matrix,
     obj_to_matrix,
     parse_csv_matrix,
+    records_to_json,
     report_to_obj,
     save_matrix,
     sweep_to_csv,
     sweep_to_json,
+    write_document,
 )
 from splab.partition import TopKMagnitude
 from splab.rng import SplitMix64
+from splab.verify import run_suite
 
 
 def test_fmt17_round_trips_binary64():
@@ -95,6 +98,22 @@ def test_load_matrix_peak_memory_at_n120(tmp_path):
     assert m.shape == (120, 120)
     # the file text (0.62 MB) is freed before the parsed lists are converted
     assert peak < 3.0e6
+
+
+def test_write_document_streams_the_dominance_records(tmp_path):
+    import tracemalloc
+    doc = records_to_json(run_suite("dominance", 42, None))
+    path = tmp_path / "dominance.json"
+    write_document(doc, path)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        write_document(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    # the JSON text (74 kB) is written chunk by chunk, never held whole
+    assert peak < 5 * path.stat().st_size
 
 
 def test_load_matrix_ignores_a_utf8_byte_order_mark(tmp_path):
@@ -184,6 +203,6 @@ def test_sweep_serialization_golden_shape():
     cells = lines[1].split(",")
     assert len(cells) == 11
     assert cells[-1] == "42"
-    obj = json.loads(sweep_to_json(res))
+    obj = sweep_to_json(res)
     assert obj["columns"][0] == "param"
     assert len(obj["rows"]) == 1

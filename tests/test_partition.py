@@ -106,9 +106,10 @@ def test_partition_unpermute_round_trip():
     v_rebuilt = np.empty_like(ed.v)
     lam_rebuilt = np.empty_like(ed.lam)
     x2 = ed.x[:, list(part.idx2)]
+    v1 = ed.v[:, list(part.idx1)]
     for k, i in enumerate(part.idx1):
         x_rebuilt[:, i] = part.x1[:, k]
-        v_rebuilt[:, i] = part.v1[:, k]
+        v_rebuilt[:, i] = v1[:, k]
         lam_rebuilt[i] = part.lambda1[k]
     for k, i in enumerate(part.idx2):
         x_rebuilt[:, i] = x2[:, k]
@@ -118,7 +119,7 @@ def test_partition_unpermute_round_trip():
     assert np.array_equal(v_rebuilt, ed.v)
     assert np.array_equal(lam_rebuilt, ed.lam)
     # dual pairing survives the permutation
-    stacked_v = np.hstack([part.v1, part.v2])
+    stacked_v = np.hstack([v1, part.v2])
     stacked_x = np.hstack([part.x1, x2])
     assert np.linalg.norm(stacked_v.conj().T @ stacked_x - np.eye(n), 2) \
         <= 1e-10 * max(ed.kappa_x, 1.0)
