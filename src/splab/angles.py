@@ -78,8 +78,9 @@ def _checked_pair(q1, q2, caller: str) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def _angles(q1: np.ndarray, q2: np.ndarray) -> SubspaceDistance:
-    """Principal angles of a checked pair."""
+def principal_angles(q1, q2) -> SubspaceDistance:
+    """Principal angles between span(Q1) and span(Q2); inputs orthonormal."""
+    q1, q2 = _checked_pair(q1, q2, "principal_angles")
     n, r = q1.shape
     cosines = np.clip(singular_values(q1.conj().T @ q2), 0.0, 1.0)
     comp_sv = singular_values(_complement(q1).conj().T @ q2) if r < n \
@@ -95,30 +96,28 @@ def _angles(q1: np.ndarray, q2: np.ndarray) -> SubspaceDistance:
                             tan_norm=tan_norm)
 
 
-def principal_angles(q1, q2) -> SubspaceDistance:
-    """Principal angles between span(Q1) and span(Q2); inputs orthonormal."""
-    q1, q2 = _checked_pair(q1, q2, "principal_angles")
-    return _angles(q1, q2)
-
-
 def sin_theta_norm(q1, q2) -> float:
     """Largest principal-angle sine, cross-checked two ways.
 
     The returned value is the max sine from the principal angles, that is
-    ||Q1perp* Q2|| clipped to [0, 1].  It is compared against the symmetric ||Q2perp* Q1|| and (in
-    squared form, which avoids the 1/sin error amplification at tiny angles)
-    against 1 - sigma_min(Q1* Q2)^2.  Disagreement beyond ``CROSS_TOL``
-    signals orthonormality loss upstream.  Q1 and Q2 are checked for
-    orthonormality once, on entry; their complements are built without
-    checking them again.
+    ||Q1perp* Q2|| clipped to [0, 1]: ``principal_angles(q1, q2).sin_norm``
+    bit for bit, computed without the other angles.  It is compared against
+    the symmetric ||Q2perp* Q1|| and (in squared form, which avoids the 1/sin
+    error amplification at tiny angles) against 1 - sigma_min(Q1* Q2)^2.
+    Disagreement beyond ``CROSS_TOL`` signals orthonormality loss upstream.
+    Q1 and Q2 are checked for orthonormality once, on entry; their
+    complements are built without checking them again.
     """
     q1, q2 = _checked_pair(q1, q2, "sin_theta_norm")
     n, r = q1.shape
-    dist = _angles(q1, q2)
-    value = dist.sin_norm
-    sym = float(singular_values(_complement(q2).conj().T @ q1)[0]) if r < n \
-        else 0.0
-    smin = float(dist.cosines[-1])
+    # singular values come in nonincreasing order: the smallest cosine is
+    # the last, the largest sine the first.  Each is clipped to [0, 1] as a
+    # Python float: np.clip of a numpy scalar leaves allocations behind
+    smin = min(max(float(singular_values(q1.conj().T @ q2)[-1]), 0.0), 1.0)
+    value, sym = 0.0, 0.0
+    if r < n:
+        value = min(max(float(singular_values(_complement(q1).conj().T @ q2)[0]), 0.0), 1.0)
+        sym = float(singular_values(_complement(q2).conj().T @ q1)[0])
     sq_alt = 1.0 - smin * smin
 
     if abs(value - sym) > CROSS_TOL:

@@ -9,11 +9,11 @@ Two upper bounds on the subspace distance are computed side by side:
   in both its per-eigenvalue form and its coarser uniform-gap form.
 
 ``analyze`` runs the pipeline eig -> partition -> match once, and its
-``Analysis`` holds every quantity the bounds and the measured distance
-share; ``Analysis.product_bound`` is the one home of the product-bound
-formula.  ``full_report`` reads the analysis and records every quantity a
-reader needs to audit either bound, and the identity verifiers of
-``oracles`` extend the same record.
+``Analysis`` is the one home of every report quantity: each is a cached
+field, computed on first read.  ``full_report`` reads all of them into the
+record a reader needs to audit either bound; a sweep row reads only the
+fields it prints.  The identity verifiers of ``oracles`` extend the same
+analysis.
 """
 
 from __future__ import annotations
@@ -159,6 +159,50 @@ class Analysis:
         except OverflowError:  # a float power raises where a product gives inf
             dl = math.inf
         return float(perj), float(dl)
+
+    @functools.cached_property
+    def gap_ok(self) -> bool:
+        """The product bound's assumption: the post-perturbation gap is nonzero."""
+        return self.delta_lambda > 0.0
+
+    @functools.cached_property
+    def reported_bound(self) -> tuple[float, float]:
+        """``product_bound``, or (inf, inf) where ``gap_ok`` is false."""
+        return self.product_bound if self.gap_ok else (math.inf, math.inf)
+
+    @functools.cached_property
+    def delta1(self) -> float:
+        """``partition.gap_delta1`` of A's split."""
+        return gap_delta1(self.part.lambda1, self.part.lambda2)
+
+    @functools.cached_property
+    def disk_gap(self) -> tuple[float, complex]:
+        """(delta0, t0*) of ``partition.gap_delta0``."""
+        return gap_delta0(self.part.lambda1, self.part.lambda2)
+
+    @functools.cached_property
+    def classical(self) -> tuple[float, bool]:
+        """(value, valid) of ``classical_bound``."""
+        return classical_bound(self.part, self.da_norms[0], self.disk_gap[0])
+
+    @functools.cached_property
+    def sep_frob(self) -> float:
+        """``sep_frobenius`` of the blocks of A projected on X1 and on V2;
+        the blocks are built here and not kept."""
+        part = self.part
+        return sep_frobenius(part.qr_x1.q.conj().T @ self.a @ part.qr_x1.q,
+                             part.qr_v2.q.conj().T @ self.a @ part.qr_v2.q)
+
+    @functools.cached_property
+    def sep_lower(self) -> float:
+        """``sep_lower_bound`` from delta0 and the two bases' condition numbers."""
+        return sep_lower_bound(self.disk_gap[0], self.part.qr_x1.kappa,
+                               self.part.qr_v2.kappa)
+
+    @functools.cached_property
+    def stewart_condition_ok(self) -> bool:
+        """``stewart_condition`` on ||dA||_2, ||A||_2 and ``sep_frob``."""
+        return stewart_condition(self.da_norms[0], self.a_norm, self.sep_frob)
 
     @functools.cached_property
     def measured_sin(self) -> float:
@@ -363,33 +407,27 @@ def stewart_condition(da_spec: float, a_spec: float, sep_value: float) -> bool:
 
 def full_report(a_mat, da, selector: Selector,
                 match: MatchStrategy | None = None) -> BoundReport:
-    """Run the whole pipeline on (A, dA, selector) and assemble a report.
+    """Run the whole pipeline on (A, dA, selector) and read every field of
+    its ``Analysis`` into a report.
 
     A zero post-perturbation gap does not raise here: the bounds become +inf
     and ``gap_ok`` is cleared, so callers can still serialize the report.
+    The fields are read in pipeline order, sep before the measured distance,
+    so that of two stages that fail the earlier one raises.
     """
     run = analyze(a_mat, da, selector, match)
-    part = run.part
-    delta1 = gap_delta1(part.lambda1, part.lambda2)
-    delta0, t0_star = gap_delta0(part.lambda1, part.lambda2)
-    gap_ok = run.delta_lambda > 0.0
-    da_spec, da_frob = run.da_norms
-
-    classical_value, classical_valid = classical_bound(part, da_spec, delta0)
-    perj, dl = run.product_bound if gap_ok else (math.inf, math.inf)
-
-    l1_block = part.qr_x1.q.conj().T @ run.a @ part.qr_x1.q
-    l2_block = part.qr_v2.q.conj().T @ run.a @ part.qr_v2.q
-    sep_frob = sep_frobenius(l1_block, l2_block)
-    measured = run.measured_sin
+    delta1, (delta0, t0_star) = run.delta1, run.disk_gap
+    gap_ok, (da_spec, da_frob) = run.gap_ok, run.da_norms
+    (classical_value, classical_valid), (perj, dl) = run.classical, run.reported_bound
+    sep_frob, measured = run.sep_frob, run.measured_sin
     return BoundReport(
         delta0=delta0,
         delta1=delta1,
         delta_lambda=run.delta_lambda,
         t0_star=t0_star,
         a=run.a_scale,
-        kappa_X1=part.qr_x1.kappa,
-        kappa_V2=part.qr_v2.kappa,
+        kappa_X1=run.part.qr_x1.kappa,
+        kappa_V2=run.part.qr_v2.kappa,
         dA_spec=da_spec,
         dA_frob=da_frob,
         classical_value=classical_value,
@@ -397,8 +435,8 @@ def full_report(a_mat, da, selector: Selector,
         new_value_perj=perj,
         new_value_dl=dl,
         sep_frob=sep_frob,
-        sep_lower=sep_lower_bound(delta0, part.qr_x1.kappa, part.qr_v2.kappa),
-        stewart_condition_ok=stewart_condition(da_spec, run.a_norm, sep_frob),
+        sep_lower=run.sep_lower,
+        stewart_condition_ok=run.stewart_condition_ok,
         measured_sin=measured,
         gap_ok=gap_ok,
         dominance_ok=measured <= perj,

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .bounds import full_report
+from .bounds import analyze
 from .errors import IndexOutOfRange, SpecViolation
 from .oracles import brute_force_sin_theta
 from .partition import TopKMagnitude
@@ -114,14 +114,20 @@ def _gen_example11(spec: Example11) -> tuple[np.ndarray, ExampleFacts]:
     return a, facts
 
 
-def _gen_tight(spec: TightGeneral) -> tuple[np.ndarray, ExampleFacts]:
-    r, delta, eps = int(spec.r), float(spec.delta), float(spec.eps)
+def _check_tight(r: int, delta: float) -> None:
+    """TightGeneral's guards on r and delta; past them delta**r cannot
+    overflow."""
     if r < 1:
         raise SpecViolation(f"TightGeneral: need r >= 1, got {r}")
     if not 0.0 < delta < 1.0:
         raise SpecViolation(f"TightGeneral: need 0 < delta < 1, got {delta}")
     if r * delta >= 1.0:
         raise SpecViolation(f"TightGeneral: need r*delta < 1, got {r * delta}")
+
+
+def _gen_tight(spec: TightGeneral) -> tuple[np.ndarray, ExampleFacts]:
+    r, delta, eps = int(spec.r), float(spec.delta), float(spec.eps)
+    _check_tight(r, delta)
     if not 0.0 < eps <= 0.01 * delta ** r:
         raise SpecViolation(
             f"TightGeneral: need 0 < eps <= 0.01*delta^r = {0.01 * delta ** r:.3e}")
@@ -240,18 +246,22 @@ class SweepResult:
 
 
 def _report_row(a, da, selector, param: float, seed: int) -> dict:
-    rep = full_report(a, da, selector)
+    """The ``SWEEP_COLUMNS`` of ``full_report``'s fields, read in its order;
+    sep, which no column prints, is never computed."""
+    run = analyze(a, da, selector)
+    delta1, (delta0, _), delta_lambda = run.delta1, run.disk_gap, run.delta_lambda
+    (classical, _), (perj, dl) = run.classical, run.reported_bound
     return {
         "param": float(param),
-        "measured_sin": rep.measured_sin,
-        "classical": rep.classical_value,
-        "new_perj": rep.new_value_perj,
-        "new_dl": rep.new_value_dl,
-        "delta0": rep.delta0,
-        "delta1": rep.delta1,
-        "delta_lambda": rep.delta_lambda,
-        "kappa_X1": rep.kappa_X1,
-        "kappa_V2": rep.kappa_V2,
+        "measured_sin": run.measured_sin,
+        "classical": classical,
+        "new_perj": perj,
+        "new_dl": dl,
+        "delta0": delta0,
+        "delta1": delta1,
+        "delta_lambda": delta_lambda,
+        "kappa_X1": run.part.qr_x1.kappa,
+        "kappa_V2": run.part.qr_v2.kappa,
         "seed": int(seed),
     }
 
@@ -290,6 +300,7 @@ def run_tightness_sweep(r: int, delta_list, eps_rule: float = 0.01,
     deltas = [float(d) for d in delta_list]
     rows, eps_values, ratios = [], [], []
     for delta in deltas:
+        _check_tight(r, delta)  # before delta**r, which a float power can overflow
         eps = eps_rule * delta ** r
         a, facts = gen_example(TightGeneral(r=r, delta=delta, eps=eps))
         rows.append(_report_row(a, facts.perturbation, facts.selector, delta, seed))
@@ -312,23 +323,25 @@ def run_v2_necessity(delta: float, delta1: float, eps: float,
     must dominate the measured distance while the bound divided by k2(V2)
     must fail to, in the regime delta1 <= delta/10.  ``n`` of None is 3."""
     a, facts = gen_example(V2NecessityN(3 if n is None else n, delta, delta1, eps))
-    rep = full_report(a, facts.perturbation, facts.selector)
-    reduced = rep.new_value_perj / rep.kappa_V2
+    run = analyze(a, facts.perturbation, facts.selector)
+    (perj, dl), measured = run.reported_bound, run.measured_sin
+    kappa_v2 = run.part.qr_v2.kappa
+    reduced = perj / kappa_v2
     strict_regime = delta1 <= delta / 10.0
     return {
         "family": facts.family,
         "delta": float(delta),
         "delta1": float(delta1),
         "eps": float(eps),
-        "measured_sin": rep.measured_sin,
-        "new_perj": rep.new_value_perj,
-        "new_dl": rep.new_value_dl,
-        "kappa_V2": rep.kappa_V2,
+        "measured_sin": measured,
+        "new_perj": perj,
+        "new_dl": dl,
+        "kappa_V2": kappa_v2,
         "bound_over_kappa_v2": reduced,
         "witness_sin_leading": facts.witness_sin_leading,
-        "measured_le_bound": bool(rep.measured_sin <= rep.new_value_perj),
+        "measured_le_bound": bool(measured <= perj),
         "strict_regime": bool(strict_regime),
-        "measured_exceeds_reduced": bool(rep.measured_sin > reduced),
+        "measured_exceeds_reduced": bool(measured > reduced),
     }
 
 

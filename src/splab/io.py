@@ -40,12 +40,20 @@ def _value(v):
     return v
 
 
+def _pairs(z: np.ndarray) -> list[list[float]]:
+    """[re, im] of each entry of ``z`` in row-major order: the complex128
+    array viewed as float64 pairs, so the Python floats are its bits (-0.0
+    included)."""
+    return np.ascontiguousarray(z, dtype=np.complex128).reshape(-1).view(
+        np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_to_obj(m: np.ndarray) -> dict:
     m = as_matrix(m, "matrix")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": _pairs(m),
     }
 
 
@@ -132,7 +140,7 @@ def save_matrix(path: str | Path, m: np.ndarray) -> None:
 
 def eig_to_obj(ed: EigenDecomposition) -> dict:
     return {
-        "lambda": [[float(z.real), float(z.imag)] for z in ed.lam],
+        "lambda": _pairs(ed.lam),
         "X": matrix_to_obj(ed.x),
         "V": matrix_to_obj(ed.v),
         "kappa_x": fmt17(ed.kappa_x),

@@ -96,6 +96,20 @@ def test_symmetry_on_seeded_pairs():
         assert abs(sin_theta_norm(q1, q2) - sin_theta_norm(q2, q1)) <= 1e-12
 
 
+def test_sin_theta_norm_is_the_principal_angles_sin_norm_bit_for_bit():
+    for base, count in ((500, 200), (900, 50)):
+        for k in range(count):
+            g = SplitMix64(base + k)
+            n = g.integer(2, 8)
+            r = g.integer(1, n - 1)
+            q1 = qr_decompose(g.complex_normals(n, r)).q
+            q2 = qr_decompose(g.complex_normals(n, r)).q
+            for a, b in ((q1, q2), (q2, q1), (q1, q1)):
+                assert sin_theta_norm(a, b) == principal_angles(a, b).sin_norm
+    q = random_orthonormal(1, 6, 6)  # no complement: both are 0.0
+    assert sin_theta_norm(q, q) == principal_angles(q, q).sin_norm == 0.0
+
+
 def test_range_and_tan_dominance():
     for k in range(50):
         g = SplitMix64(900 + k)

@@ -305,6 +305,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--out", str(tmp_path / "x.json")) == 1
     assert run_cli("eig", "--input", str(tmp_path / "missing.json")) == 1
     assert run_cli("sweep", "tightness", "--delta-list", "") == 1
+    # delta**r of a delta outside (0, 1) overflows: the family's guard runs first
+    capsys.readouterr()
+    assert run_cli("sweep", "tightness", "--delta-list", "1e300") == 1
+    assert capsys.readouterr().err == (
+        "splab: TightGeneral: need 0 < delta < 1, got 1e+300\n")
+    # and 0.0 ** -1 raises ZeroDivisionError
+    assert run_cli("sweep", "tightness", "--r", "-1", "--delta-list", "0") == 1
+    assert capsys.readouterr().err == "splab: TightGeneral: need r >= 1, got -1\n"
     assert run_cli("sweep", "table1", "--eps-list", "") == 1
     assert run_cli("sweep", "table1", "--eps-list", "1e-2,abc") == 1
     assert run_cli("sweep", "table1", "--norm", "inf") == 1
@@ -476,6 +484,27 @@ def test_sweep_special_and_v2necessity(tmp_path):
     rec = json.loads((tmp_path / "v2.json").read_text())[0]
     assert rec["measured_le_bound"] is True
     assert rec["measured_exceeds_reduced"] is True
+
+
+SEP_CALLS = {
+    ("sweep", "table1"): 0,
+    ("sweep", "tightness", "--r", "2"): 0,
+    ("sweep", "tightness", "--r", "3"): 0,
+    ("sweep", "v2necessity"): 0,
+    ("report", "--perturb", "gaussian:1e-6", "--select", "topk:2"): 1,
+}
+
+
+@pytest.mark.parametrize("argv", list(SEP_CALLS), ids=" ".join)
+def test_only_a_report_computes_sep(tmp_path, monkeypatch, argv):
+    # no sweep column prints sep, so a sweep row never runs sep_frobenius
+    calls = []
+    sep = splab.bounds.sep_frobenius
+    monkeypatch.setattr(splab.bounds, "sep_frobenius",
+                        lambda *blocks: calls.append(1) or sep(*blocks))
+    inputs = ("--input", _example11(tmp_path)) if argv[0] == "report" else ()
+    assert run_cli(*argv, *inputs, "--out", str(tmp_path / "doc.out")) == 0
+    assert len(calls) == SEP_CALLS[argv]
 
 
 def _example11(tmp_path):

@@ -167,6 +167,45 @@ def test_table1_sweep_deterministic_serialization():
     assert sweep_to_csv(res1) != sweep_to_csv(run_table1_sweep([1e-2, 1e-6], 1e-6, 7))
 
 
+# sweep column -> the BoundReport field it prints
+ROW_FIELDS = {"measured_sin": "measured_sin", "classical": "classical_value",
+              "new_perj": "new_value_perj", "new_dl": "new_value_dl", "delta0": "delta0",
+              "delta1": "delta1", "delta_lambda": "delta_lambda", "kappa_X1": "kappa_X1",
+              "kappa_V2": "kappa_V2"}
+
+
+def _assert_rows_read_the_report(rows, reports):
+    for row, rep in zip(rows, reports, strict=True):
+        for column, field in ROW_FIELDS.items():
+            assert row[column] == getattr(rep, field), column
+
+
+def test_table1_rows_equal_the_report_fields():
+    eps_grid = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
+    da = gen_gaussian_perturbation(3, 1e-6, 42)
+    _assert_rows_read_the_report(
+        run_table1_sweep(eps_grid, 1e-6, 42).rows,
+        [full_report(gen_example(Example11(eps))[0], da, TopKMagnitude(2)) for eps in eps_grid])
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_tightness_rows_equal_the_report_fields(r):
+    reports = []
+    for delta in (0.2, 0.1, 0.05):
+        a, facts = gen_example(TightGeneral(r=r, delta=delta, eps=0.01 * delta ** r))
+        reports.append(full_report(a, facts.perturbation, facts.selector))
+    _assert_rows_read_the_report(run_tightness_sweep(r, [0.2, 0.1, 0.05]).rows, reports)
+
+
+def test_v2_necessity_record_equals_the_report_fields():
+    a, facts = gen_example(V2NecessityN(3, 0.05, 0.005, 1e-6))
+    rep = full_report(a, facts.perturbation, facts.selector)
+    rec = run_v2_necessity(0.05, 0.005, 1e-6)
+    for key in ("measured_sin", "new_perj", "new_dl", "kappa_V2"):
+        assert rec[key] == getattr(rep, ROW_FIELDS[key]), key
+    assert rec["bound_over_kappa_v2"] == rep.new_value_perj / rep.kappa_V2
+
+
 def test_tightness_sweep_slopes():
     for r in (2, 3):
         res = run_tightness_sweep(r, [0.2, 0.1, 0.05], 0.01)

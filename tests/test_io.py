@@ -9,8 +9,10 @@ from splab.bounds import full_report
 from splab.errors import InvalidMatrix
 from splab.experiments import Example11, gen_example, gen_gaussian_perturbation, run_table1_sweep
 from splab.io import (
+    eig_to_obj,
     fmt17,
     load_matrix,
+    matrix_to_obj,
     obj_to_matrix,
     parse_csv_matrix,
     records_to_json,
@@ -20,6 +22,7 @@ from splab.io import (
     sweep_to_json,
     write_document,
 )
+from splab.linalg import eig
 from splab.partition import TopKMagnitude
 from splab.rng import SplitMix64
 from splab.verify import run_suite
@@ -43,6 +46,23 @@ def test_matrix_json_round_trip(tmp_path):
     back = load_matrix(path)
     assert np.array_equal(back, m)
     assert np.signbit(back[0, 0].real) and np.signbit(back[0, 0].imag)
+
+
+def test_matrix_obj_entries_are_the_entries_bits():
+    m = SplitMix64(9).complex_normals(3, 4)
+    m[0, 0] = complex(-0.0, 5e-324)
+    m[1, 2] = complex(1e308, -0.0)
+    m[2, 3] = complex(-5e-324, -1e308)
+    def bits(pairs):  # -0.0 and 0.0 differ here
+        return np.array(pairs, dtype=np.float64).view(np.uint64).tolist()
+
+    for mat in (m, m.T):  # m.T is not contiguous
+        new = matrix_to_obj(mat)["entries"]
+        assert bits(new) == bits([[float(z.real), float(z.imag)] for z in mat.reshape(-1)])
+        assert all(type(x) is float for pair in new for x in pair)
+    ed = eig(np.diag([2.0, -0.0, -1.0]).astype(np.complex128))
+    assert bits(eig_to_obj(ed)["lambda"]) == bits([[float(z.real), float(z.imag)]
+                                                  for z in ed.lam])
 
 
 def test_matrix_obj_validation():
