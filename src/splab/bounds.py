@@ -10,17 +10,18 @@ Two upper bounds on the subspace distance are computed side by side:
 
 ``analyze`` runs the pipeline eig -> partition -> match once, and its
 ``Analysis`` is the one home of every report quantity: each is a cached
-field, computed on first read.  ``full_report`` reads all of them into the
-record a reader needs to audit either bound; a sweep row reads only the
-fields it prints.  The identity verifiers of ``oracles`` extend the same
-analysis.
+field, computed on first read.  Each field of ``BoundReport`` declares
+which of them it reads and its sweep column: ``full_report`` reads every
+field into the record a reader needs to audit either bound, and a sweep row
+reads only the fields it prints.  The identity verifiers of ``oracles``
+extend the same analysis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -42,34 +43,50 @@ from .partition import (
 from .rng import SplitMix64
 
 
+def _quantity(read, column: str | None = None):
+    """A report field read from an ``Analysis`` by ``read``; ``column`` names
+    it in a sweep row, or is None where no sweep prints it."""
+    return field(metadata={"read": read, "column": column})
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Everything needed to audit both bounds for one (A, dA, selector) run.
 
     The fields are the report format: ``io.report_to_obj`` writes one key per
-    field, named after it and in this order.
+    field, named after it and in this order.  Each field's metadata is the
+    one declaration of its quantity: ``read`` computes it from an
+    ``Analysis``, and ``column`` names its sweep column, or is None.  The
+    readers run in field order, so sep is read before the measured sine.
     """
 
-    delta0: float
-    delta1: float
-    delta_lambda: float
-    t0_star: complex
-    a: float
-    kappa_X1: float
-    kappa_V2: float
-    dA_spec: float
-    dA_frob: float
-    classical_value: float
-    classical_valid: bool
-    new_value_perj: float
-    new_value_dl: float
-    sep_frob: float
-    sep_lower: float
-    stewart_condition_ok: bool
-    measured_sin: float
-    gap_ok: bool
-    dominance_ok: bool
-    match_strategy: str
+    delta0: float = _quantity(lambda run: run.disk_gap[0], "delta0")
+    delta1: float = _quantity(lambda run: run.delta1, "delta1")
+    delta_lambda: float = _quantity(lambda run: run.delta_lambda, "delta_lambda")
+    t0_star: complex = _quantity(lambda run: run.disk_gap[1])
+    a: float = _quantity(lambda run: run.a_scale)
+    kappa_X1: float = _quantity(lambda run: run.part.qr_x1.kappa, "kappa_X1")
+    kappa_V2: float = _quantity(lambda run: run.part.qr_v2.kappa, "kappa_V2")
+    dA_spec: float = _quantity(lambda run: run.da_norms[0])
+    dA_frob: float = _quantity(lambda run: run.da_norms[1])
+    classical_value: float = _quantity(lambda run: run.classical[0], "classical")
+    classical_valid: bool = _quantity(lambda run: run.classical[1])
+    new_value_perj: float = _quantity(lambda run: run.reported_bound[0], "new_perj")
+    new_value_dl: float = _quantity(lambda run: run.reported_bound[1], "new_dl")
+    sep_frob: float = _quantity(lambda run: run.sep_frob)
+    sep_lower: float = _quantity(lambda run: run.sep_lower)
+    stewart_condition_ok: bool = _quantity(lambda run: run.stewart_condition_ok)
+    measured_sin: float = _quantity(lambda run: run.measured_sin, "measured_sin")
+    gap_ok: bool = _quantity(lambda run: run.gap_ok)
+    dominance_ok: bool = _quantity(lambda run: run.measured_sin <= run.reported_bound[0])
+    match_strategy: str = _quantity(lambda run: "same-selector"
+                                    if isinstance(run.match, SameSelector)
+                                    else "nearest-assignment")
+
+
+# sweep column -> its field's reader of ``Analysis``, in field order
+COLUMN_READERS = {f.metadata["column"]: f.metadata["read"]
+                  for f in fields(BoundReport) if f.metadata["column"] is not None}
 
 
 @dataclass(frozen=True)
@@ -408,38 +425,13 @@ def stewart_condition(da_spec: float, a_spec: float, sep_value: float) -> bool:
 def full_report(a_mat, da, selector: Selector,
                 match: MatchStrategy | None = None) -> BoundReport:
     """Run the whole pipeline on (A, dA, selector) and read every field of
-    its ``Analysis`` into a report.
+    the report from its ``Analysis``, by the field's reader and in field
+    order.
 
     A zero post-perturbation gap does not raise here: the bounds become +inf
     and ``gap_ok`` is cleared, so callers can still serialize the report.
-    The fields are read in pipeline order, sep before the measured distance,
-    so that of two stages that fail the earlier one raises.
+    Sep is read before the measured distance, so that of two stages that
+    fail the earlier one raises.
     """
     run = analyze(a_mat, da, selector, match)
-    delta1, (delta0, t0_star) = run.delta1, run.disk_gap
-    gap_ok, (da_spec, da_frob) = run.gap_ok, run.da_norms
-    (classical_value, classical_valid), (perj, dl) = run.classical, run.reported_bound
-    sep_frob, measured = run.sep_frob, run.measured_sin
-    return BoundReport(
-        delta0=delta0,
-        delta1=delta1,
-        delta_lambda=run.delta_lambda,
-        t0_star=t0_star,
-        a=run.a_scale,
-        kappa_X1=run.part.qr_x1.kappa,
-        kappa_V2=run.part.qr_v2.kappa,
-        dA_spec=da_spec,
-        dA_frob=da_frob,
-        classical_value=classical_value,
-        classical_valid=classical_valid,
-        new_value_perj=perj,
-        new_value_dl=dl,
-        sep_frob=sep_frob,
-        sep_lower=run.sep_lower,
-        stewart_condition_ok=run.stewart_condition_ok,
-        measured_sin=measured,
-        gap_ok=gap_ok,
-        dominance_ok=measured <= perj,
-        match_strategy="same-selector" if isinstance(run.match, SameSelector)
-        else "nearest-assignment",
-    )
+    return BoundReport(**{f.name: f.metadata["read"](run) for f in fields(BoundReport)})

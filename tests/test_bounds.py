@@ -19,12 +19,13 @@ from splab.bounds import (
     sep_lower_bound,
     stewart_condition,
 )
-from splab.errors import GapViolated
+from splab.errors import GapViolated, SplabError
 from splab.experiments import (
     Example11,
     TightGeneral,
     gen_example,
     gen_gaussian_perturbation,
+    run_table1_sweep,
 )
 from splab.linalg import cond2, eig
 from splab.partition import NearestAssignment, SameSelector, TopKMagnitude, match_partition, partition
@@ -623,6 +624,46 @@ def test_analyze_releases_the_decomposition_of_a_before_eig_of_a_plus_da(monkeyp
     monkeypatch.setattr(splab.bounds, "eig", spy)
     full_report(a, gen_gaussian_perturbation(48, 1e-6, 7), TopKMagnitude(12))
     assert len(refs) == 2 and alive == [False]
+
+
+STAGES = ("gap_delta0", "gap_delta1", "classical_bound", "sep_frobenius", "sin_theta_norm")
+
+
+def test_full_report_reads_the_stages_in_field_order(monkeypatch):
+    # the fields are read in declaration order: delta0, delta1, the
+    # classical bound, sep, then the measured sine
+    calls = []
+    for name in STAGES:
+        stage = getattr(splab.bounds, name)
+        monkeypatch.setattr(splab.bounds, name, lambda *args, _name=name, _stage=stage:
+                            calls.append(_name) or _stage(*args))
+    a, _ = gen_example(Example11(1e-4))
+    full_report(a, gen_gaussian_perturbation(3, 1e-6, 42), TopKMagnitude(2))
+    assert calls == list(STAGES)
+
+
+class SepFailed(SplabError):
+    pass
+
+
+class SineFailed(SplabError):
+    pass
+
+
+def test_of_two_failing_stages_the_earlier_read_raises(monkeypatch):
+    # a report reads sep before the sine; a sweep row never reads sep
+    def fail(error):
+        def stage(*args):
+            raise error("stage failed")
+        return stage
+
+    monkeypatch.setattr(splab.bounds, "sep_frobenius", fail(SepFailed))
+    monkeypatch.setattr(splab.bounds, "sin_theta_norm", fail(SineFailed))
+    a, _ = gen_example(Example11(1e-4))
+    with pytest.raises(SepFailed):
+        full_report(a, gen_gaussian_perturbation(3, 1e-6, 42), TopKMagnitude(2))
+    with pytest.raises(SineFailed):
+        run_table1_sweep([1e-2, 1e-4], 1e-6, 42)
 
 
 def test_classical_bound_dominates_tangent_distance():

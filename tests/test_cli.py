@@ -467,6 +467,17 @@ def test_sweep_table1_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("norm, notes", [("1e-6", ["eps=1e-08"]), ("1e-8", [])])
+def test_table1_notes_compare_with_the_reference_at_its_norm_only(tmp_path, capsys,
+                                                                   norm, notes):
+    # the published row holds for ||dA||_2 = 1e-6; at 1e-6 only its known
+    # inconsistent 1e-8 entry is flagged, at another norm no entry is compared
+    assert run_cli("sweep", "table1", "--norm", norm, "--out", str(tmp_path / "t.csv")) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(notes)
+    assert all(f"classical bound at {eps} computed" in line for line, eps in zip(lines, notes))
+
+
 def test_sweep_tightness_json_summary(tmp_path):
     out = tmp_path / "t.json"
     assert run_cli("sweep", "tightness", "--r", "2", "--format", "json",

@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from splab.bounds import full_report
+from splab.bounds import COLUMN_READERS, BoundReport, full_report
 from splab.errors import IndexOutOfRange, SpecViolation
 from splab.experiments import (
+    SWEEP_COLUMNS,
     Example11,
     TightGeneral,
     V2NecessityN,
@@ -167,11 +169,21 @@ def test_table1_sweep_deterministic_serialization():
     assert sweep_to_csv(res1) != sweep_to_csv(run_table1_sweep([1e-2, 1e-6], 1e-6, 7))
 
 
-# sweep column -> the BoundReport field it prints
+# sweep column -> the BoundReport field it prints, written out by hand
 ROW_FIELDS = {"measured_sin": "measured_sin", "classical": "classical_value",
               "new_perj": "new_value_perj", "new_dl": "new_value_dl", "delta0": "delta0",
               "delta1": "delta1", "delta_lambda": "delta_lambda", "kappa_X1": "kappa_X1",
               "kappa_V2": "kappa_V2"}
+
+
+def test_the_report_fields_declare_the_sweep_columns():
+    declared = [f for f in fields(BoundReport) if f.metadata["column"] is not None]
+    assert {f.metadata["column"]: f.name for f in declared} == ROW_FIELDS
+    assert sorted(SWEEP_COLUMNS[1:-1]) == sorted(ROW_FIELDS)
+    assert all(callable(f.metadata["read"]) for f in fields(BoundReport))
+    # the derived map keeps field order and each field's own reader
+    assert list(COLUMN_READERS.items()) == [(f.metadata["column"], f.metadata["read"])
+                                            for f in declared]
 
 
 def _assert_rows_read_the_report(rows, reports):
